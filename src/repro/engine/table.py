@@ -30,7 +30,6 @@ import numpy as np
 
 from ..circuit.tree import RLCTree
 from ..errors import ReductionError, TopologyError
-from .backend import active_array_backend
 from .compiled import CompiledTree, compile_tree
 from .kernels import (
     METRIC_NAMES,
@@ -372,14 +371,10 @@ def analyze_batch(
     select = None
     if metrics is not None:
         select = tuple(_metric_field(metric) for metric in metrics)
-    # The S x n value matrices cross into the active array backend here
-    # (identity for NumPy), so the whole sweep + metric pipeline below
-    # runs in one backend's array type.
-    ops = active_array_backend()
     topology = compiled.topology
     loads = topology.accumulate(c)
-    t_rc = topology.descend(ops.asarray(r) * loads)
-    t_lc = topology.descend(ops.asarray(l) * loads)
+    t_rc = topology.descend(r * loads)
+    t_lc = topology.descend(l * loads)
     return BatchTiming(
         names=compiled.names,
         settle_band=settle_band,

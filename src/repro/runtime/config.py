@@ -1,62 +1,29 @@
-"""Runtime configuration and the deprecated-alias funnel.
+"""Runtime configuration.
 
-One frozen :class:`RuntimeConfig` replaces the ``use_engine=`` /
-``use_incremental=`` / ``workers=`` / ``closed_form_backend=`` flags
-that four generations of PRs threaded separately through every app, the
-CLI and the guarded pipeline. Apps keep their old keyword arguments as
-thin aliases that fold into a config and warn (once per call site) via
-:func:`warn_deprecated_alias`.
+One frozen :class:`RuntimeConfig` carries every routing decision the
+execution runtime needs: the forced backend (``"scalar"``,
+``"compiled"``, ``"incremental"`` or ``"sharded"``), the worker budget,
+the supervision and breaker policy and an optional measured crossover
+model. Apps, the CLI and the guarded pipeline take one
+``config=RuntimeConfig(...)`` instead of per-call engine flags. The
+compiled kernels always run on NumPy, so there is no array-library
+setting.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Set, Tuple
+from typing import Any, Optional, Tuple
 
 from ..errors import ConfigurationError
 
 __all__ = [
     "BACKEND_NAMES",
     "RuntimeConfig",
-    "warn_deprecated_alias",
-    "reset_deprecation_warnings",
 ]
 
 #: The registered backend names, in fallback-documentation order.
 BACKEND_NAMES: Tuple[str, ...] = ("scalar", "compiled", "incremental", "sharded")
-
-#: Common prefix of every alias warning; the targeted pytest
-#: ``filterwarnings`` entry in pyproject.toml matches on it.
-_ALIAS_PREFIX = "repro.runtime alias"
-
-#: (function, kwarg) pairs that already warned this process.
-_warned: Set[Tuple[str, str]] = set()
-
-
-def warn_deprecated_alias(func: str, kwarg: str, replacement: str) -> None:
-    """Emit the deprecation warning for one legacy kwarg, exactly once.
-
-    Subsequent calls for the same ``(func, kwarg)`` pair are silent, so
-    optimization loops that pass the old flag thousands of times pay for
-    one warning. :func:`reset_deprecation_warnings` re-arms the set (for
-    tests).
-    """
-    key = (func, kwarg)
-    if key in _warned:
-        return
-    _warned.add(key)
-    warnings.warn(
-        f"{_ALIAS_PREFIX}: {func}({kwarg}=...) is deprecated; "
-        f"pass {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which aliases already warned (test isolation)."""
-    _warned.clear()
 
 
 @dataclass(frozen=True)
@@ -107,16 +74,6 @@ class RuntimeConfig:
     breaker_cooldown:
         Seconds a tripped breaker stays open before admitting a
         half-open probe request.
-    array_backend:
-        Array-ops backend for the compiled kernels: ``"numpy"``,
-        ``"cupy"``, ``"mlx"``, any name registered via
-        :func:`~repro.engine.backend.register_array_backend`, or
-        ``"auto"`` (best available, preferring accelerators). ``None``
-        keeps the process-wide active backend (NumPy unless something
-        changed it). Resolution — and the unusable-backend error — is
-        deferred to :class:`~repro.runtime.context.ExecutionContext`
-        construction, so configs can name backends registered later.
-        The CLI flag ``--array-backend`` maps here.
     calibration:
         A measured serial/sharded crossover model (duck-typed like
         :class:`~repro.runtime.calibrate.CrossoverCalibration`: needs
@@ -137,7 +94,6 @@ class RuntimeConfig:
     retry_backoff: float = 0.05
     breaker_threshold: int = 3
     breaker_cooldown: float = 30.0
-    array_backend: Optional[str] = None
     calibration: Optional[Any] = None
 
     def __post_init__(self):
@@ -188,13 +144,6 @@ class RuntimeConfig:
                 f"breaker_cooldown must be non-negative, got "
                 f"{self.breaker_cooldown!r}"
             )
-        if self.array_backend is not None and not isinstance(
-            self.array_backend, str
-        ):
-            raise ConfigurationError(
-                f"array_backend must be a backend name string or None, "
-                f"got {self.array_backend!r}"
-            )
         if self.calibration is not None and not hasattr(
             self.calibration, "sharded_wins"
         ):
@@ -212,7 +161,3 @@ class RuntimeConfig:
     def with_backend(self, backend: Optional[str]) -> "RuntimeConfig":
         """A copy with the forced backend replaced."""
         return replace(self, backend=backend)
-
-    def with_workers(self, workers: Optional[int]) -> "RuntimeConfig":
-        """A copy with the worker budget replaced."""
-        return replace(self, workers=workers)

@@ -1,6 +1,6 @@
 """Deterministic lifecycles of the dispatch layer's process resources.
 
-The pool and the shared-memory blocks both follow the same rule: scope
+The pool and the shared-memory arenas both follow the same rule: scope
 them with a context manager for deterministic teardown, with the
 ``atexit`` hook only as a last-resort fallback. These tests exercise the
 context-manager paths — creation, reuse, teardown on success and on
@@ -13,10 +13,8 @@ import pytest
 from repro.circuit import fig5_tree, random_tree
 from repro.engine import analyze_many, dispatch_pool
 from repro.engine.dispatch import (
-    SharedBlock,
     _arenas,
     _atexit_cleanup,
-    _live_blocks,
     arena_info,
     dispatch_telemetry,
     get_arena,
@@ -82,44 +80,6 @@ class TestDispatchPoolScope:
         assert all(isinstance(o, TimingTable) for o in outcomes)
 
 
-class TestSharedBlockScope:
-    def test_context_manager_closes_and_unregisters(self):
-        data = np.arange(12.0).reshape(3, 4)
-        with SharedBlock(data) as block:
-            assert block in _live_blocks
-            assert block.ref.shape == (3, 4)
-        assert block not in _live_blocks
-        # The segment is gone: attaching by name must fail.
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=block.ref.name)
-
-    def test_close_is_idempotent(self):
-        block = SharedBlock(np.ones(4))
-        block.close()
-        block.close()
-        assert block not in _live_blocks
-
-    def test_block_copies_data(self):
-        from repro.engine.dispatch import _attach_block
-
-        data = np.array([1.0, 2.0, 3.0])
-        with SharedBlock(data) as block:
-            data[0] = 99.0  # mutating the source is invisible
-            segment, view = _attach_block(block.ref)
-            try:
-                assert view.tolist() == [1.0, 2.0, 3.0]
-            finally:
-                segment.close()
-
-    def test_exception_inside_block_still_cleans_up(self):
-        with pytest.raises(ValueError, match="inner"):
-            with SharedBlock(np.zeros(2)) as block:
-                raise ValueError("inner")
-        assert block not in _live_blocks
-
-
 class TestSupervisedLifecycle:
     """Edge cases introduced by pool rebuilds and supervision."""
 
@@ -169,41 +129,6 @@ class TestSupervisedLifecycle:
         infos = worker_cache_infos(timeout=5.0)
         assert isinstance(infos, dict)
         assert victim.pid not in infos
-
-    def test_shared_block_survives_pool_rebuild(self):
-        # Blocks are parent-owned; a rebuild must not unlink them.
-        from multiprocessing import shared_memory
-
-        with SharedBlock(np.arange(6.0)) as block:
-            get_pool(2)
-            rebuild_pool()
-            attached = shared_memory.SharedMemory(name=block.ref.name)
-            attached.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=block.ref.name)
-
-    def test_atexit_cleanup_unlinks_blocks_by_name(self):
-        from multiprocessing import shared_memory
-
-        block = SharedBlock(np.zeros(3))
-        name = block.ref.name
-        get_pool(2)
-        _atexit_cleanup()
-        assert pool_size() == 0
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_atexit_cleanup_survives_a_poisoned_block(self):
-        from multiprocessing import shared_memory
-
-        bad = SharedBlock(np.zeros(2))
-        bad.close()
-        _live_blocks.add(bad)  # simulate a block whose close() will fail
-        good = SharedBlock(np.zeros(2))
-        name = good.ref.name
-        _atexit_cleanup()  # must not propagate the double-close
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
 
 
 class TestArenaLifecycle:
@@ -343,7 +268,9 @@ class TestArenaLifecycle:
         arena = get_arena("test-atexit")
         arena.begin(128)
         name = arena.name
+        get_pool(2)
         _atexit_cleanup()
+        assert pool_size() == 0
         assert not _arenas
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)

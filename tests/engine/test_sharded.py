@@ -10,12 +10,17 @@ from repro.engine import (
     analyze_batch,
     analyze_batch_sharded,
     analyze_many,
+    arena_info,
     clear_topology_cache,
     compile_tree,
+    dispatch_telemetry,
     evaluate,
+    release_arenas,
+    reset_dispatch_telemetry,
     shutdown_pool,
 )
 from repro.engine import sharded as sharded_mod
+from repro.engine.kernels import METRIC_NAMES
 from repro.engine.sharded import _shard_slices
 from repro.errors import ConfigurationError, DispatchError
 
@@ -278,3 +283,50 @@ class TestPoolCacheInfo:
         info = sharded_mod.topology_cache_info()
         assert info["workers"] == {}
         assert info["parent"]["size"] == info["size"]
+
+
+class TestInlineTransportFallback:
+    """Without a usable arena every unit carries its values inline."""
+
+    @pytest.fixture(autouse=True)
+    def no_arena(self, monkeypatch):
+        def unavailable(tag):
+            raise OSError(f"no shared memory for arena {tag!r}")
+
+        release_arenas()
+        monkeypatch.setattr("repro.engine.dispatch.get_arena", unavailable)
+        reset_dispatch_telemetry()
+        yield
+        reset_dispatch_telemetry()
+
+    def test_batch_ships_inline_and_matches_compiled(self, fig5):
+        compiled = compile_tree(fig5)
+        block = scenario_block(compiled, 17, seed=5)
+        sharded = analyze_batch_sharded(
+            compiled, block, shards=2, workers=WORKERS
+        )
+        reference = analyze_batch(compiled, block)
+        for metric in METRIC_NAMES:
+            np.testing.assert_array_equal(
+                getattr(sharded.metrics, metric),
+                getattr(reference.metrics, metric),
+            )
+        telemetry = dispatch_telemetry()
+        assert telemetry["bytes_shipped"] > 0
+        assert telemetry["bytes_returned"] > 0
+        assert arena_info() == {}
+
+    def test_many_ships_inline_and_matches_compiled(self):
+        trees = tree_set(count=4)
+        results = analyze_many(trees, workers=WORKERS)
+        for tree, table in zip(trees, results):
+            reference = evaluate(compile_tree(tree))
+            for metric in METRIC_NAMES:
+                np.testing.assert_array_equal(
+                    getattr(table.metrics, metric),
+                    getattr(reference.metrics, metric),
+                )
+        telemetry = dispatch_telemetry()
+        assert telemetry["bytes_shipped"] > 0
+        assert telemetry["bytes_returned"] > 0
+        assert arena_info() == {}
