@@ -126,7 +126,7 @@ def assert_bitwise_identical(body: dict) -> None:
 @pytest.mark.perf
 def test_service_smoke_quick():
     """CI gate: mixed workload, bitwise fidelity, one deterministic 429."""
-    with BackgroundServer(max_inflight=8, coalesce_window=0.01) as bg:
+    with BackgroundServer(max_inflight=8) as bg:
         conn = http.client.HTTPConnection("127.0.0.1", bg.port, timeout=60)
         try:
             # Point query: bitwise identical to a direct context call.
@@ -190,7 +190,7 @@ def test_service_smoke_quick():
 def test_service_report(report):
     """Full load sweep; writes BENCH_service.json at the repo root."""
     levels = []
-    with BackgroundServer(max_inflight=16, coalesce_window=0.005) as bg:
+    with BackgroundServer(max_inflight=16) as bg:
         # Fidelity first: the numbers under load are the same numbers.
         conn = http.client.HTTPConnection("127.0.0.1", bg.port, timeout=60)
         status, _, data = _post(conn, "/analyze", ANALYZE_BODY)
@@ -202,12 +202,12 @@ def test_service_report(report):
             before = bg.server.service_stats()["coalescing"]
             level = run_load(bg.port, clients, requests_per_client=40)
             after = bg.server.service_stats()["coalescing"]
-            window_requests = after["requests"] - before["requests"]
-            window_coalesced = (
+            level_requests = after["requests"] - before["requests"]
+            level_coalesced = (
                 after["coalesced_requests"] - before["coalesced_requests"]
             )
             level["coalescing_hit_rate"] = (
-                window_coalesced / window_requests if window_requests else 0.0
+                level_coalesced / level_requests if level_requests else 0.0
             )
             assert level["other"] == 0, "only 200/429 under saturation"
             levels.append(level)
@@ -261,7 +261,6 @@ def test_service_report(report):
                 "bench": "service",
                 "netlist_sections": fig5_tree().size,
                 "max_inflight": 16,
-                "coalesce_window_s": 0.005,
                 "requests_per_client": 40,
                 "levels": levels,
                 "saturation": saturated,

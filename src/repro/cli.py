@@ -222,14 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
         "gets 429 + Retry-After (default 8)",
     )
     serve.add_argument(
-        "--coalesce-window", type=float, default=0.005, metavar="SECONDS",
-        help="how long a point query waits to merge with concurrent "
-        "same-topology queries (default 0.005)",
-    )
-    serve.add_argument(
         "--max-group", type=int, default=64, metavar="N",
-        help="largest coalesced group; a full group flushes immediately "
-        "(default 64)",
+        help="largest coalesced group: point queries are answered at once "
+        "on an idle server and merge only while a batch is in flight; a "
+        "full group flushes immediately (default 64)",
     )
     serve.add_argument(
         "--retry-after", type=float, default=1.0, metavar="SECONDS",
@@ -523,7 +519,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         max_inflight=args.max_inflight,
-        coalesce_window=args.coalesce_window,
         max_group=args.max_group,
         retry_after=args.retry_after,
         max_requests=args.max_requests,

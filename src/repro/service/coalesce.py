@@ -5,11 +5,14 @@ value-perturbed copies of the *same* net — a sizing loop here, a
 Monte-Carlo client there, all sharing one topology fingerprint. Each
 query alone is a tiny ``(1, 3, n)`` batch; dispatched individually they
 pay the per-call routing/kernel overhead S times. The
-:class:`PointCoalescer` merges them: requests arriving within a short
-window (or while the executor is busy with the previous group) are
-stacked into one ``(S, 3, n)`` value block and answered by a single
-:meth:`ExecutionContext.batch` call, then each member extracts its own
-scenario row.
+:class:`PointCoalescer` merges them by batching while busy: a query
+that finds none of its flushes in flight is answered at once, alone;
+queries arriving while one is in flight wait, and when the last
+in-flight flush finishes each waiting group is stacked into one
+``(S, 3, n)`` value block, answered by a single
+:meth:`ExecutionContext.batch` call, and each member extracts its own
+scenario row. An idle server adds no wait; a loaded one merges exactly
+the queries that would have queued behind the executor anyway.
 
 Correctness contract (pinned in ``tests/service/test_coalesce.py``):
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -83,40 +86,31 @@ class _Member:
 class _Group:
     """Pending members sharing one (fingerprint, settle_band) key."""
 
-    key: Tuple
     settle_band: float
     members: List[_Member] = field(default_factory=list)
-    timer: Optional["asyncio.Task"] = None
 
 
 class PointCoalescer:
     """Merge concurrent same-topology point queries into batch calls.
 
-    ``window`` is how long the first member of a group waits for
-    company (seconds); under load the executor queue makes the window
-    mostly irrelevant — whole bursts arrive while the previous group
-    computes and merge for free. ``max_group`` bounds a group's size so
-    one topology cannot monopolize the executor (the group flushes
-    immediately when full).
+    A query waits only while one of this coalescer's own flushes is in
+    flight, and every group left pending flushes when the last of those
+    finishes. ``max_group`` bounds a group's size so one topology cannot
+    monopolize the executor (the group flushes immediately when full,
+    busy or not).
     """
 
-    def __init__(
-        self,
-        context,
-        executor,
-        *,
-        window: float = 0.005,
-        max_group: int = 64,
-    ):
-        if window < 0:
-            raise ReproError("coalesce window must be non-negative")
+    def __init__(self, context, executor, *, max_group: int = 64):
         if max_group < 1:
             raise ReproError("max_group must be at least 1")
         self._context = context
         self._executor = executor
-        self.window = float(window)
         self.max_group = int(max_group)
         self._pending: Dict[Tuple, _Group] = {}
+        # Flushes started and not yet finished; queries arriving while
+        # it is zero flush at once.
+        self._inflight = 0
+        self._tasks: set = set()  # the loop holds tasks only weakly
         # Counters behind the service's coalescing hit-rate.
         self.groups_flushed = 0
         self.members_served = 0
@@ -141,9 +135,8 @@ class PointCoalescer:
         key = (topology_key(compiled.topology), float(settle_band))
         group = self._pending.get(key)
         if group is None:
-            group = _Group(key=key, settle_band=float(settle_band))
+            group = _Group(settle_band=float(settle_band))
             self._pending[key] = group
-            group.timer = loop.create_task(self._flush_after_window(key))
         member = _Member(
             compiled=compiled,
             nodes=tuple(nodes),
@@ -151,26 +144,20 @@ class PointCoalescer:
             future=loop.create_future(),
         )
         group.members.append(member)
-        if len(group.members) >= self.max_group:
+        if not self._inflight or len(group.members) >= self.max_group:
             self._begin_flush(key)
         return await member.future
 
     # -- flushing ----------------------------------------------------------
 
-    async def _flush_after_window(self, key: Tuple) -> None:
-        try:
-            await asyncio.sleep(self.window)
-        except asyncio.CancelledError:
-            return
-        self._begin_flush(key, cancel_timer=False)
-
-    def _begin_flush(self, key: Tuple, cancel_timer: bool = True) -> None:
+    def _begin_flush(self, key: Tuple) -> None:
         group = self._pending.pop(key, None)
         if group is None:
             return
-        if cancel_timer and group.timer is not None:
-            group.timer.cancel()
-        asyncio.get_running_loop().create_task(self._flush(group))
+        self._inflight += 1
+        task = asyncio.get_running_loop().create_task(self._flush(group))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     async def _flush(self, group: _Group) -> None:
         members = group.members
@@ -179,18 +166,18 @@ class PointCoalescer:
         self.members_served += size
         self.members_coalesced += size - 1
         self.largest_group = max(self.largest_group, size)
-        rlc = np.stack(
-            [
-                np.stack(
-                    (m.compiled.resistance, m.compiled.inductance,
-                     m.compiled.capacitance)
-                )
-                for m in members
-            ]
-        )
         loop = asyncio.get_running_loop()
         representative = members[0].compiled
         try:
+            rlc = np.stack(
+                [
+                    np.stack(
+                        (m.compiled.resistance, m.compiled.inductance,
+                         m.compiled.capacitance)
+                    )
+                    for m in members
+                ]
+            )
             batch = await loop.run_in_executor(
                 self._executor,
                 lambda: self._context.batch(
@@ -204,6 +191,14 @@ class PointCoalescer:
                 if not member.future.done():
                     member.future.set_exception(exc)
             return
+        finally:
+            # Released even when the group failed, so the coalescer can
+            # never stay "busy"; the last flush out starts the groups
+            # that gathered behind it (they run once this one returns).
+            self._inflight -= 1
+            if not self._inflight:
+                for key in list(self._pending):
+                    self._begin_flush(key)
         for scenario, member in enumerate(members):
             if member.future.done():
                 continue
@@ -221,7 +216,7 @@ class PointCoalescer:
 
     @property
     def pending(self) -> int:
-        """Members currently waiting in unflushed groups."""
+        """Members waiting behind an in-flight flush."""
         return sum(len(g.members) for g in self._pending.values())
 
     def stats(self) -> dict:
@@ -236,7 +231,8 @@ class PointCoalescer:
         }
 
     async def drain(self) -> None:
-        """Flush every pending group and wait for their futures."""
+        """Flush every pending group now, without waiting for the
+        in-flight flush ahead of it, and wait for their futures."""
         keys = list(self._pending)
         futures = [
             m.future for g in self._pending.values() for m in g.members

@@ -19,9 +19,10 @@ GET       ``/healthz``       liveness/drain state
 
 The traffic path is the engineering:
 
-* **request coalescing** — concurrent ``/analyze`` calls on the same
-  topology fingerprint merge into one ``analyze_batch`` dispatch
-  (:mod:`~repro.service.coalesce`);
+* **request coalescing** — an ``/analyze`` call on an idle server is
+  answered at once; calls on the same topology fingerprint that arrive
+  while a point batch is in flight merge into the next single
+  ``analyze_batch`` dispatch (:mod:`~repro.service.coalesce`);
 * **admission control** — at most ``max_inflight`` requests hold
   engine work at once; the next one gets ``429`` with a
   ``Retry-After`` hint instead of a place in an unbounded queue;
@@ -36,8 +37,8 @@ The traffic path is the engineering:
   path the runtime already guarantees.
 
 Engine work runs on a small thread executor so the event loop stays
-free to accept, queue and merge — which is exactly what makes
-coalescing effective under load.
+free to accept, queue and merge while a batch computes — which is
+exactly what makes coalescing effective under load.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class AnalysisServer:
     passes its own context keeps responsibility for closing it. All
     other parameters are the service knobs the CLI exposes:
     ``max_inflight`` bounds concurrently admitted analysis requests,
-    ``coalesce_window``/``max_group`` shape the merging, ``retry_after``
+    ``max_group`` caps a coalesced group, ``retry_after``
     is the hint (seconds) on 429 responses, ``max_requests`` (when
     positive) drains the server after that many admitted requests have
     completed — the smoke-test/CI knob.
@@ -120,7 +121,6 @@ class AnalysisServer:
         host: str = "127.0.0.1",
         port: int = 8341,
         max_inflight: int = 8,
-        coalesce_window: float = 0.005,
         max_group: int = 64,
         retry_after: float = 1.0,
         affinity_capacity: int = 256,
@@ -142,10 +142,7 @@ class AnalysisServer:
             thread_name_prefix="repro-service",
         )
         self._coalescer = PointCoalescer(
-            self._context,
-            self._executor,
-            window=coalesce_window,
-            max_group=max_group,
+            self._context, self._executor, max_group=max_group
         )
         self._affinity: "OrderedDict[Tuple[str, bytes], dict]" = OrderedDict()
         self._affinity_capacity = int(affinity_capacity)
@@ -252,7 +249,18 @@ class AnalysisServer:
         self._writers.add(writer)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _HttpError as exc:
+                    # The request could not be read, so the stream
+                    # position is unknown: answer once, then close.
+                    self._counters["requests"] += 1
+                    self._counters["errors_400"] += 1
+                    await self._send(
+                        writer, exc.status, {"error": str(exc)},
+                        keep_alive=False,
+                    )
+                    break
                 if request is None:
                     break
                 keep_alive = await self._respond(writer, *request)
@@ -284,7 +292,12 @@ class AnalysisServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _HttpError(400, "invalid Content-Length")
         if length > MAX_BODY:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
@@ -309,42 +322,35 @@ class AnalysisServer:
     async def _respond(self, writer, method, path, headers, body) -> bool:
         keep_alive = headers.get("connection", "").lower() != "close"
         self._counters["requests"] += 1
-        try:
-            if path == "/healthz" and method == "GET":
-                return await self._send(
-                    writer,
-                    200,
-                    {"status": "draining" if self._draining else "ok"},
-                    keep_alive=keep_alive,
-                )
-            if path == "/stats" and method == "GET":
-                self._counters["stats"] += 1
-                return await self._send(
-                    writer, 200, self._context.stats(), keep_alive=keep_alive
-                )
-            if path in ("/analyze", "/analyze_batch", "/sweep"):
-                if method != "POST":
-                    return await self._send(
-                        writer,
-                        405,
-                        {"error": f"{path} requires POST"},
-                        keep_alive=keep_alive,
-                    )
-                return await self._admit(
-                    writer, path, body, keep_alive=keep_alive
-                )
+        if path == "/healthz" and method == "GET":
             return await self._send(
                 writer,
-                404,
-                {"error": f"unknown endpoint {method} {path}"},
+                200,
+                {"status": "draining" if self._draining else "ok"},
                 keep_alive=keep_alive,
             )
-        except _HttpError as exc:
-            status = exc.status
-            self._counters["errors_400" if status < 500 else "errors_500"] += 1
+        if path == "/stats" and method == "GET":
+            self._counters["stats"] += 1
             return await self._send(
-                writer, status, {"error": str(exc)}, keep_alive=False
+                writer, 200, self._context.stats(), keep_alive=keep_alive
             )
+        if path in ("/analyze", "/analyze_batch", "/sweep"):
+            if method != "POST":
+                return await self._send(
+                    writer,
+                    405,
+                    {"error": f"{path} requires POST"},
+                    keep_alive=keep_alive,
+                )
+            return await self._admit(
+                writer, path, body, keep_alive=keep_alive
+            )
+        return await self._send(
+            writer,
+            404,
+            {"error": f"unknown endpoint {method} {path}"},
+            keep_alive=keep_alive,
+        )
 
     # -- admission control -------------------------------------------------
 

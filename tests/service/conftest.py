@@ -9,16 +9,43 @@ response headers *before* the body finishes streaming.
 
 import http.client
 import json
+import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro.circuit import dumps, fig5_tree
+from repro.runtime import ExecutionContext
 
 
 @pytest.fixture
 def netlist() -> str:
     """The paper's Fig. 5 tree as netlist text — the wire format."""
     return dumps(fig5_tree())
+
+
+@pytest.fixture
+def held(monkeypatch):
+    """A context whose first ``batch`` call blocks until ``release()``:
+    point queries sent meanwhile provably arrive while a flush is in
+    flight, so they merge without relying on timing."""
+    with ExecutionContext() as ctx:
+        entered, released = threading.Event(), threading.Event()
+        batch = ctx.batch
+
+        def held_batch(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                assert released.wait(timeout=30), "never released"
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(ctx, "batch", held_batch)
+        try:
+            yield SimpleNamespace(
+                context=ctx, entered=entered, release=released.set
+            )
+        finally:
+            released.set()
 
 
 def http_get(port: int, path: str):

@@ -9,7 +9,9 @@ and a drain that refuses new work while finishing old work.
 
 import http.client
 import json
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.circuit import fig5_tree
 from repro.engine.compiled import compile_tree
 from repro.runtime import ExecutionContext
 from repro.service import BackgroundServer
+from repro.service.server import MAX_BODY
 
 from .conftest import http_get, http_post, ndjson_lines
 
@@ -28,6 +31,29 @@ TREE = fig5_tree()
 def reference_context():
     with ExecutionContext() as ctx:
         yield ctx
+
+
+def wait_pending(port: int, count: int, timeout: float = 30.0) -> None:
+    """Poll ``/stats`` until ``count`` point queries wait to merge."""
+    deadline = time.monotonic() + timeout
+    while True:
+        _, _, body = http_get(port, "/stats")
+        if json.loads(body)["service"]["coalescing"]["pending"] == count:
+            return
+        assert time.monotonic() < deadline, "queries never queued"
+        time.sleep(0.005)
+
+
+def raw_exchange(port: int, data: bytes) -> bytes:
+    """Send raw bytes, read until the server closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        received = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(received)
+            received.append(chunk)
 
 
 def base_rlc(scale=1.0):
@@ -242,7 +268,7 @@ class TestAdmissionControl:
 
     def test_burst_never_crashes_the_pool(self, netlist):
         """Overload produces only 200s and 429s, then full recovery."""
-        with BackgroundServer(max_inflight=2, coalesce_window=0.0) as bg:
+        with BackgroundServer(max_inflight=2) as bg:
             statuses = []
             lock = threading.Lock()
 
@@ -268,17 +294,13 @@ class TestAdmissionControl:
 
 class TestCoalescingOverHttp:
     def test_concurrent_identical_queries_merge_and_match_direct(
-        self, netlist, reference_context
+        self, netlist, reference_context, held
     ):
         clients = 6
-        with BackgroundServer(
-            max_inflight=32, coalesce_window=0.25
-        ) as bg:
+        with BackgroundServer(held.context, max_inflight=32) as bg:
             results = [None] * clients
-            barrier = threading.Barrier(clients)
 
             def fire(i):
-                barrier.wait()
                 results[i] = http_post(
                     bg.port,
                     "/analyze",
@@ -289,8 +311,14 @@ class TestCoalescingOverHttp:
                 threading.Thread(target=fire, args=(i,))
                 for i in range(clients)
             ]
-            for t in threads:
+            # The first query's flush holds the executor; the rest
+            # queue behind it and merge once it is released.
+            threads[0].start()
+            assert held.entered.wait(timeout=30)
+            for t in threads[1:]:
                 t.start()
+            wait_pending(bg.port, clients - 1)
+            held.release()
             for t in threads:
                 t.join()
             stats = bg.server.service_stats()
@@ -299,9 +327,10 @@ class TestCoalescingOverHttp:
         group_sizes = [
             body["service"]["group_size"] for _, _, body in results
         ]
-        # At least one merge actually happened (the barrier makes the
-        # requests near-simultaneous, well inside the 250 ms window).
+        # At least one merge actually happened: the first query ran
+        # alone, the other five shared one batch behind it.
         assert max(group_sizes) >= 2
+        assert group_sizes == [1] + [clients - 1] * (clients - 1)
         assert stats["coalescing"]["coalesced_requests"] >= 1
         assert stats["coalescing"]["hit_rate"] > 0.0
 
@@ -319,16 +348,20 @@ class TestCoalescingOverHttp:
                         reference.column(metric, node)[0]
                     )
 
-    def test_one_failing_member_does_not_poison_the_group(self, netlist):
+    def test_one_failing_member_does_not_poison_the_group(
+        self, netlist, held
+    ):
         clients = 4
-        with BackgroundServer(
-            max_inflight=32, coalesce_window=0.25
-        ) as bg:
+        with BackgroundServer(held.context, max_inflight=32) as bg:
             results = [None] * clients
-            barrier = threading.Barrier(clients)
+            blocker = threading.Thread(
+                target=http_post,
+                args=(bg.port, "/analyze", {"netlist": netlist}),
+            )
+            blocker.start()
+            assert held.entered.wait(timeout=30)
 
             def fire(i):
-                barrier.wait()
                 nodes = ["no_such_node"] if i == 0 else ["n7"]
                 results[i] = http_post(
                     bg.port,
@@ -346,7 +379,9 @@ class TestCoalescingOverHttp:
             ]
             for t in threads:
                 t.start()
-            for t in threads:
+            wait_pending(bg.port, clients)
+            held.release()
+            for t in threads + [blocker]:
                 t.join()
 
         statuses = [status for status, _, _ in results]
@@ -354,6 +389,50 @@ class TestCoalescingOverHttp:
         assert statuses[1:] == [200, 200, 200]
         for _, _, body in results[1:]:
             assert "delay_50" in body["nodes"]["n7"]
+            # The failing member shared the survivors' group.
+            assert body["service"]["group_size"] == clients
+
+
+class TestUnreadableRequests:
+    """A request the server cannot read gets a status, never silence."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (
+                b"POST /analyze HTTP/1.1\r\n"
+                b"Content-Length: abc\r\n\r\n",
+                400,
+            ),
+            (
+                b"POST /analyze HTTP/1.1\r\n"
+                b"Content-Length: -5\r\n\r\n",
+                400,
+            ),
+            (
+                b"POST /analyze HTTP/1.1\r\n"
+                b"Content-Length: %d\r\n\r\n" % (MAX_BODY + 1),
+                413,
+            ),
+        ],
+        ids=["request-line", "non-numeric-length", "negative-length",
+             "body-too-large"],
+    )
+    def test_answered_and_closed(self, request_bytes, status, caplog):
+        with BackgroundServer() as bg:
+            reply = raw_exchange(bg.port, request_bytes)
+            head, _, body = reply.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0].startswith(f"HTTP/1.1 {status} ")
+            assert "Connection: close" in lines[1:]
+            assert "error" in json.loads(body)
+            assert bg.server.service_stats()["errors_400"] == 1
+            # The server is unharmed.
+            assert http_get(bg.port, "/healthz")[0] == 200
+        assert not [
+            r for r in caplog.records if "client_connected_cb" in r.getMessage()
+        ]
 
 
 class TestSessionAffinity:

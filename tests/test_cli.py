@@ -351,7 +351,7 @@ class TestServe:
         assert args.host == "127.0.0.1"
         assert args.port == 8341
         assert args.max_inflight == 8
-        assert args.coalesce_window == 0.005
+        assert args.max_group == 64
         assert args.max_requests == 0
 
     def test_serve_boots_answers_and_drains(self, monkeypatch):
