@@ -73,18 +73,13 @@ import numpy as np
 from ..errors import ConfigurationError, ReproError
 from .compiled import (
     CompiledTopology,
-    CompiledTree,
     clear_topology_cache,
     lookup_topology,
     seed_topology_cache,
     topology_cache_info,
 )
-from .kernels import (
-    METRIC_NAMES,
-    MetricArrays,
-    fast_path_eligible,
-    metrics_from_sums,
-)
+from .kernels import METRIC_NAMES, MetricArrays, fast_path_eligible
+from .table import _evaluate_block, _evaluate_tile
 
 try:  # pragma: no cover - always present on supported platforms
     from multiprocessing import shared_memory as _shared_memory
@@ -674,9 +669,10 @@ def run_tree_unit(unit: TreeUnit) -> Tuple[int, str, Dict[str, Any]]:
             r, l, c = rows[0], rows[1], rows[2]
         else:
             r, l, c = unit.resistance, unit.inductance, unit.capacitance
-        compiled = CompiledTree(topology, r, l, c)
-        t_rc, t_lc = compiled.second_order_sums()
-        if unit.check_domain and not fast_path_eligible(t_rc, t_lc):
+        metrics = _evaluate_tile(topology, r, l, c, unit.settle_band, unit.select)
+        if unit.check_domain and not fast_path_eligible(
+            metrics.t_rc, metrics.t_lc
+        ):
             from ..errors import ElementValueError
 
             raise ElementValueError(
@@ -684,9 +680,6 @@ def run_tree_unit(unit: TreeUnit) -> Tuple[int, str, Dict[str, Any]]:
                 "forms' domain (non-finite or non-positive); check the "
                 "element values"
             )
-        metrics = metrics_from_sums(
-            t_rc, t_lc, unit.settle_band, select=unit.select
-        )
         if unit.out is not None:
             out = _attach_view(unit.out)
             for row, name in enumerate(unit.out_fields):
@@ -711,17 +704,24 @@ def run_batch_shard(shard: BatchShard) -> Tuple[int, str, Dict[str, Any]]:
             rows = _attach_view(shard.block)[shard.start:shard.stop]
         else:
             rows = shard.block
-        r, l, c = rows[:, 0, :], rows[:, 1, :], rows[:, 2, :]
-        loads = topology.accumulate(c)
-        t_rc = topology.descend(r * loads)
-        t_lc = topology.descend(l * loads)
-        metrics = metrics_from_sums(
-            t_rc, t_lc, shard.settle_band, select=shard.select
-        )
+        out = None
         if shard.out is not None:
-            out = _attach_view(shard.out)
-            for row, name in enumerate(shard.out_fields):
-                out[row, shard.start:shard.stop] = getattr(metrics, name)
+            # Tiles land straight in this shard's rows of the result arena.
+            results = _attach_view(shard.out)
+            out = {
+                name: results[row, shard.start:shard.stop]
+                for row, name in enumerate(shard.out_fields)
+            }
+        metrics = _evaluate_block(
+            topology,
+            rows[:, 0, :],
+            rows[:, 1, :],
+            rows[:, 2, :],
+            shard.settle_band,
+            shard.select,
+            out,
+        )
+        if out is not None:
             return shard.index, "ok", {"arena": True}
         return shard.index, "ok", _metric_payload(metrics)
     except Exception as exc:

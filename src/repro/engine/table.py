@@ -8,10 +8,11 @@ returns.
 
 :func:`analyze_batch` is the S-scenario generalization: given one
 compiled topology and ``(S, n)`` value matrices (or a stacked
-``(S, 3, n)`` R/L/C block), it evaluates all S x n node metrics in one
-array pass — the shape of Monte-Carlo variation, sweep-based sizing and
-tuning workloads, where the tree's structure never changes and only the
-element values do.
+``(S, 3, n)`` R/L/C block), it evaluates all S x n node metrics with
+array passes over cache-sized row tiles — the shape of Monte-Carlo
+variation, sweep-based sizing and tuning workloads, where the tree's
+structure never changes and only the element values do. The sharded
+workers of :mod:`repro.engine.dispatch` run the same tiled pipeline.
 
 :func:`iter_analyze_batch` is the chunked form of the same pass: a
 caller-supplied ``fill`` stages scenario blocks into one reused
@@ -268,11 +269,16 @@ class BatchTiming:
         return values[:, self.index(node)].copy()
 
     def scenario(self, s: int) -> TimingTable:
-        """The full :class:`TimingTable` of scenario ``s``."""
+        """The full :class:`TimingTable` of scenario ``s``.
+
+        Its rows are fresh copies, for the same reason as
+        :meth:`column`: a row view would keep the whole ``(S, n)``
+        block alive for as long as the table is held.
+        """
         m = self.metrics
         row = MetricArrays(
             **{
-                name: None if values is None else values[s]
+                name: None if values is None else values[s].copy()
                 for name in METRIC_NAMES
                 for values in (getattr(m, name),)
             }
@@ -337,6 +343,79 @@ def _batch_values(
     return tuple(out)
 
 
+#: Scenario-block cells (rows x nodes) evaluated per tile. Every tree
+#: pass and metric kernel allocates a handful of tile-sized
+#: temporaries, so a 64 k-cell (512 KB) tile keeps them in cache where
+#: one pass over a whole 2000 x 1000 block streams ~60 fresh 16 MB
+#: arrays through memory. Measured on a 2000 x 1000 branching block:
+#: tiles of 32-96 rows of 1000 nodes are within noise of each other,
+#: 16 rows are slower and 8 rows lose the gain to per-call overhead
+#: (see docs/PERFORMANCE.md). Sweep chunks (4096 x 7) and served
+#: batches fit one tile and skip the tiling entirely.
+_TILE_CELLS = 65_536
+
+#: Least cells one level of a tree pass handles per tile, on average.
+#: Each level costs a few NumPy calls per tile, so deep, narrow trees
+#: get taller tiles: without this floor a 2-chain comb 500 levels deep
+#: ran 2.4x slower tiled than in one pass.
+_LEVEL_CELLS = 4096
+
+
+def _tile_rows(topology) -> int:
+    """Scenario rows per tile for blocks over ``topology``."""
+    width = max(topology.size, 1)
+    levels = 1 if topology.is_chain else len(topology.levels)
+    return max(_TILE_CELLS // width, -(-_LEVEL_CELLS * levels // width), 1)
+
+
+def _evaluate_tile(topology, r, l, c, settle_band, select) -> MetricArrays:
+    """The Appendix's two passes plus the closed forms, in one shot."""
+    loads = topology.accumulate(c)
+    t_rc = topology.descend(r * loads)
+    t_lc = topology.descend(l * loads)
+    return metrics_from_sums(t_rc, t_lc, settle_band, select=select)
+
+
+def _evaluate_block(
+    topology,
+    r: np.ndarray,
+    l: np.ndarray,
+    c: np.ndarray,
+    settle_band: float,
+    select: Optional[Tuple[str, ...]],
+    out: Optional[Dict[str, np.ndarray]] = None,
+) -> MetricArrays:
+    """Metrics of ``(S, n)`` value matrices, evaluated in row tiles.
+
+    The block is walked :func:`_tile_rows` scenario rows at a time and
+    each tile's fields are copied into ``(S, n)`` outputs —
+    ``out`` (field name to destination, e.g. shared-memory arena rows;
+    it must cover every field the selection produces) or fresh arrays.
+    Every step is row-local (segment sums and running sums along the
+    node axis, elementwise kernels), so the result is bitwise identical
+    to one pass over the whole block. Without ``out``, a block that fits
+    one tile is evaluated in one pass and its arrays returned uncopied.
+    """
+    scenarios, n = r.shape
+    rows = _tile_rows(topology)
+    if out is None and scenarios <= rows:
+        return _evaluate_tile(topology, r, l, c, settle_band, select)
+    for lo in range(0, scenarios, rows):
+        hi = lo + rows
+        tile = _evaluate_tile(
+            topology, r[lo:hi], l[lo:hi], c[lo:hi], settle_band, select
+        )
+        if out is None:
+            out = {
+                name: np.empty((scenarios, n))
+                for name in METRIC_NAMES
+                if getattr(tile, name) is not None
+            }
+        for name, values in out.items():
+            values[lo:hi] = getattr(tile, name)
+    return MetricArrays(**out)
+
+
 def analyze_batch(
     compiled: CompiledTree,
     rlc: Optional[np.ndarray] = None,
@@ -347,7 +426,7 @@ def analyze_batch(
     settle_band: float = 0.1,
     metrics: Optional[Sequence[str]] = None,
 ) -> BatchTiming:
-    """Evaluate S value-scenarios over one topology in a single pass.
+    """Evaluate S value-scenarios over one topology, tile by tile.
 
     Values come either as one stacked ``rlc`` block of shape
     ``(S, 3, n)`` (R, L, C along the middle axis, nodes in
@@ -362,6 +441,10 @@ def analyze_batch(
     of the elementwise work. Reading an unselected metric raises
     :class:`~repro.errors.ReductionError`; the sums are always kept.
 
+    Large blocks are evaluated in cache-sized row tiles (see
+    :func:`_evaluate_block`); the results are bitwise identical to one
+    pass over the whole block.
+
     ``settle_band`` outside ``(0, 1)`` raises
     :class:`~repro.errors.ConfigurationError` before any values are
     touched.
@@ -371,14 +454,12 @@ def analyze_batch(
     select = None
     if metrics is not None:
         select = tuple(_metric_field(metric) for metric in metrics)
-    topology = compiled.topology
-    loads = topology.accumulate(c)
-    t_rc = topology.descend(r * loads)
-    t_lc = topology.descend(l * loads)
     return BatchTiming(
         names=compiled.names,
         settle_band=settle_band,
-        metrics=metrics_from_sums(t_rc, t_lc, settle_band, select=select),
+        metrics=_evaluate_block(
+            compiled.topology, r, l, c, settle_band, select
+        ),
     )
 
 
@@ -424,6 +505,8 @@ def iter_analyze_batch(
         raise ReductionError(
             f"scenario count must be non-negative, got {scenarios}"
         )
+    if metrics is not None:
+        metrics = tuple(_metric_field(metric) for metric in metrics)
 
     def chunks():
         if scenarios == 0:

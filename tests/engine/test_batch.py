@@ -13,6 +13,7 @@ from repro.engine import (
     metrics_from_sums,
     timing_table,
 )
+from repro.engine.table import iter_analyze_batch
 from repro.errors import ConfigurationError, ReductionError, TopologyError
 
 
@@ -169,6 +170,39 @@ class TestBatchValidation:
                 metrics=("slew",),
             )
 
+    def test_iter_unknown_metric_rejected_at_call_time(self, fig5):
+        compiled = compile_tree(fig5)
+        staged = []
+
+        def fill(view, lo, hi):
+            staged.append((lo, hi))
+            view[:] = 1.0
+
+        with pytest.raises(ReductionError, match="bogus"):
+            iter_analyze_batch(
+                compiled, fill, 4, chunk_size=2, metrics=["bogus"]
+            )
+        assert staged == []
+
+    def test_iter_metric_selection_is_read_once(self, fig5):
+        compiled = compile_tree(fig5)
+        block = np.stack(
+            [compiled.resistance, compiled.inductance, compiled.capacitance]
+        )[None].repeat(4, axis=0)
+
+        def fill(view, lo, hi):
+            view[:] = block[lo:hi]
+
+        chunks = iter_analyze_batch(
+            compiled,
+            fill,
+            4,
+            chunk_size=2,
+            metrics=(name for name in ["settling_time"]),
+        )
+        for _, batch in chunks:
+            assert batch.settling.shape == (2, compiled.size)
+
     def test_out_of_domain_scenarios_come_out_nan(self, fig5):
         compiled = compile_tree(fig5)
         c = np.broadcast_to(compiled.capacitance, (2, compiled.size)).copy()
@@ -252,3 +286,15 @@ class TestColumnCopySemantics:
         column = self._batch(fig5).column("settling", "n3")
         assert column.nbytes == column.size * column.itemsize
         assert column.flags.owndata
+
+    def test_scenario_does_not_pin_the_block(self, fig5):
+        """A kept scenario table must not keep the (S, n) block alive."""
+        batch = self._batch(fig5)
+        table = batch.scenario(2)
+        for name in ("t_rc", "delay_50", "settling"):
+            assert not np.shares_memory(
+                getattr(table.metrics, name), getattr(batch.metrics, name)
+            )
+        assert table.value("delay_50", "n7") == batch.delay_50[
+            2, batch.index("n7")
+        ]
