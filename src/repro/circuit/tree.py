@@ -23,12 +23,15 @@ element values for a node.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import TopologyError
 from .elements import Section
 
 __all__ = ["RLCTree"]
+
+#: The :meth:`RLCTree.derived` kind that survives :meth:`RLCTree.replace_section`.
+_STRUCTURE = "structure"
 
 
 class RLCTree:
@@ -49,6 +52,7 @@ class RLCTree:
         self._children: Dict[str, List[str]] = {root: []}
         self._sections: Dict[str, Section] = {}
         self._order: List[str] = []  # insertion order of non-root nodes
+        self._derived: Dict[str, Any] = {}  # see derived()
 
     # -- construction ----------------------------------------------------
 
@@ -83,13 +87,50 @@ class RLCTree:
         self._children[name] = []
         self._sections[name] = section
         self._order.append(name)
+        self._derived = {}
         return self
 
     def replace_section(self, name: str, section: Section) -> "RLCTree":
         """Swap the element values of an existing node in place."""
         self._require_node(name)
         self._sections[name] = section
+        kept = self._derived.get(_STRUCTURE)
+        self._derived = {} if kept is None else {_STRUCTURE: kept}
         return self
+
+    # -- derived data ------------------------------------------------------
+
+    def derived(self, kind: str, build: Callable[["RLCTree"], Any]) -> Any:
+        """``build(self)``, computed once per state of the tree.
+
+        Other layers keep what they derive from a tree here: the
+        compiled engine memoizes its structural key under
+        ``"structure"`` and its R/L/C value vectors under ``"values"``.
+        :meth:`add_section` drops every entry and
+        :meth:`replace_section` every entry but ``"structure"``. Those
+        are the only two mutations (structure is append-only and
+        :class:`Section` is frozen), so an entry never outlives the
+        state it was built from. Callers must not mutate the result.
+        """
+        memo = self._derived
+        try:
+            return memo[kind]
+        except KeyError:
+            pass
+        value = build(self)
+        # A mutation during build() swapped in a fresh dict, so a value
+        # built from the old state lands in the discarded one.
+        memo[kind] = value
+        return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state.pop("_derived", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._derived = {}
 
     # -- identity and sizes ----------------------------------------------
 

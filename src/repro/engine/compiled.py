@@ -28,14 +28,17 @@ scenarios.
 
 Because design loops (Monte-Carlo variation, wire sizing, clock tuning)
 rebuild trees with identical structure, :func:`compile_tree` keys a
-small LRU cache on :func:`topology_fingerprint` — a pure-structure key —
-and re-extracts only the value vectors on a hit. Values are read from
-the tree on *every* call, so a cache hit can never serve stale element
-values; only the permutation/level arrays are shared.
+small LRU cache on :func:`topology_fingerprint` — a fixed-size digest of
+the structure alone — so value-perturbed copies of one net share the
+permutation/level arrays. The key and the value vectors are memoized on
+each tree (:meth:`RLCTree.derived`) and dropped by the mutations that
+change them, so compiling an already-seen tree again walks no nodes in
+Python, and a mutated tree never serves stale element values.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -59,34 +62,76 @@ __all__ = [
 ]
 
 
-def topology_fingerprint(tree: RLCTree) -> Tuple:
-    """A hashable key identifying the tree's *structure* only.
+def _structure_key(
+    root: str, names: Tuple[str, ...], parent: np.ndarray
+) -> Tuple[str, int, bytes]:
+    """``(root, n, digest)`` with a 16-byte BLAKE2b digest of the structure.
+
+    The digest covers every name, length-prefixed so that no two name
+    lists encode alike, and every parent slot (``n`` for the root).
+    """
+    encoded = [name.encode("utf-8", "surrogatepass") for name in names]
+    n = len(encoded)
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(np.fromiter(map(len, encoded), dtype="<i8", count=n).tobytes())
+    digest.update(b"".join(encoded))
+    digest.update(np.asarray(parent, dtype="<i8").tobytes())
+    return (root, n, digest.digest())
+
+
+def _parent_slots(tree: RLCTree) -> np.ndarray:
+    """The parent slot of every node in insertion order; ``n`` is the root."""
+    names = tree.nodes
+    n = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    index[tree.root] = n
+    return np.fromiter(
+        (index[tree.parent(name)] for name in names), dtype=np.intp, count=n
+    )
+
+
+def _value_vectors(tree: RLCTree) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The R, L and C vectors of ``tree`` in insertion order."""
+    sections = [section for _, section in tree.sections()]
+    n = len(sections)
+    return (
+        np.fromiter((s.resistance for s in sections), dtype=float, count=n),
+        np.fromiter((s.inductance for s in sections), dtype=float, count=n),
+        np.fromiter((s.capacitance for s in sections), dtype=float, count=n),
+    )
+
+
+def topology_fingerprint(tree: RLCTree) -> Tuple[str, int, bytes]:
+    """A fixed-size hashable key identifying the tree's *structure* only.
 
     Two trees share a fingerprint exactly when they have the same root
     name, the same nodes in the same insertion order, and the same
-    parent for every node — element values are deliberately excluded,
-    which is what lets value-only perturbations reuse a compiled
-    topology.
+    parent for every node (up to a 128-bit digest collision) — element
+    values are deliberately excluded, which is what lets value-only
+    perturbations reuse a compiled topology. Computed once per tree and
+    memoized on it until :meth:`RLCTree.add_section` changes the
+    structure.
     """
-    names = tree.nodes
-    return (tree.root, names, tuple(tree.parent(name) for name in names))
+    return tree.derived(
+        "structure",
+        lambda t: _structure_key(t.root, t.nodes, _parent_slots(t)),
+    )
 
 
-def topology_key(topology: "CompiledTopology") -> Tuple:
+def topology_key(topology: "CompiledTopology") -> Tuple[str, int, bytes]:
     """The :func:`topology_fingerprint` a compiled topology came from.
 
     Reconstructed purely from the structure arrays, so a
     :class:`CompiledTopology` shipped to a worker process (where the
     original :class:`~repro.circuit.tree.RLCTree` never existed) can be
     seeded into that process's topology cache under the same key the
-    parent used.
+    parent used. Cached on the topology after the first call.
     """
-    n = topology.size
-    parents = tuple(
-        topology.root if p == n else topology.names[p]
-        for p in topology.parent
-    )
-    return (topology.root, topology.names, parents)
+    key = topology._key
+    if key is None:
+        key = _structure_key(topology.root, topology.names, topology.parent)
+        topology._key = key
+    return key
 
 
 @dataclass(frozen=True)
@@ -106,7 +151,13 @@ class _LevelGroup:
 
 
 class CompiledTopology:
-    """The structure of one RLC tree, flattened to index arrays."""
+    """The structure of one RLC tree, flattened to index arrays.
+
+    Two memo fields ride along: ``_key`` (see :func:`topology_key`) and
+    ``_payload``, the pickled form the dispatch layer ships to workers.
+    Neither is pickled, nor are the lazy per-topology caches, which a
+    worker rebuilds on demand.
+    """
 
     def __init__(self, root: str, names: Tuple[str, ...], parent: np.ndarray):
         n = len(names)
@@ -175,17 +226,23 @@ class CompiledTopology:
         # arithmetic beats numpy scalar indexing ~10x on these).
         self._root_paths: Dict[int, Tuple[np.ndarray, List[int]]] = {}
         self._parent_pylist: Optional[List[int]] = None
+        self._key: Optional[Tuple[str, int, bytes]] = None
+        self._payload: Optional[bytes] = None
 
     @classmethod
     def from_tree(cls, tree: RLCTree) -> "CompiledTopology":
-        names = tree.nodes
-        n = len(names)
-        index = {name: i for i, name in enumerate(names)}
-        parent = np.empty(n, dtype=np.intp)
-        for i, name in enumerate(names):
-            p = tree.parent(name)
-            parent[i] = n if p == tree.root else index[p]
-        return cls(tree.root, names, parent)
+        return cls(tree.root, tree.nodes, _parent_slots(tree))
+
+    def __getstate__(self) -> Dict:
+        state = self.__dict__.copy()
+        state.update(
+            _key=None,
+            _payload=None,
+            _preorder=None,
+            _root_paths={},
+            _parent_pylist=None,
+        )
+        return state
 
     # -- vectorized sweeps -------------------------------------------------
 
@@ -370,12 +427,7 @@ class CompiledTree:
     ) -> "CompiledTree":
         if topology is None:
             topology = CompiledTopology.from_tree(tree)
-        n = topology.size
-        sections = [tree.section(name) for name in topology.names]
-        r = np.fromiter((s.resistance for s in sections), dtype=float, count=n)
-        l = np.fromiter((s.inductance for s in sections), dtype=float, count=n)
-        c = np.fromiter((s.capacitance for s in sections), dtype=float, count=n)
-        return cls(topology, r, l, c)
+        return cls(topology, *_value_vectors(tree))
 
     def with_values(
         self,
@@ -479,9 +531,13 @@ def compile_tree(tree: RLCTree, *, cache: bool = True) -> CompiledTree:
     """Flatten ``tree`` into a :class:`CompiledTree`.
 
     With ``cache=True`` (the default) the structural compile is keyed on
-    :func:`topology_fingerprint`, so repeated calls for value-perturbed
-    copies of one net pay only the O(n) value extraction. Element values
-    are always read fresh from ``tree``. Cache operations are
+    :func:`topology_fingerprint`, so value-perturbed copies of one net
+    pay only the O(n) value extraction. The value vectors are memoized
+    per tree and dropped when :meth:`RLCTree.replace_section` or
+    :meth:`RLCTree.add_section` mutates it, so compiling the same tree
+    again costs three array copies; the copies keep a caller who edits
+    a returned array from corrupting the memo. ``cache=False`` is a cold
+    compile that reads nothing memoized. Cache operations are
     thread-safe.
     """
     global _cache_hits, _cache_misses
@@ -495,6 +551,7 @@ def compile_tree(tree: RLCTree, *, cache: bool = True) -> CompiledTree:
             _cache.move_to_end(key)
     if topology is None:
         compiled = CompiledTopology.from_tree(tree)
+        compiled._key = key
         with _cache_lock:
             _cache_misses += 1
             topology = _cache.get(key)
@@ -505,7 +562,8 @@ def compile_tree(tree: RLCTree, *, cache: bool = True) -> CompiledTree:
                 _cache.move_to_end(key)
             while len(_cache) > _CACHE_MAXSIZE:
                 _cache.popitem(last=False)
-    return CompiledTree.from_tree(tree, topology)
+    r, l, c = tree.derived("values", _value_vectors)
+    return CompiledTree(topology, r.copy(), l.copy(), c.copy())
 
 
 def lookup_topology(key: Tuple) -> Optional[CompiledTopology]:

@@ -514,8 +514,16 @@ def _attach_view(view: ArenaView) -> np.ndarray:
 
 
 def encode_topology(topology: CompiledTopology) -> bytes:
-    """The pickled payload of one topology, shipped with work units."""
-    return pickle.dumps(topology, protocol=pickle.HIGHEST_PROTOCOL)
+    """The pickled payload of one topology, shipped with work units.
+
+    Pickled once and kept on the topology, whose structure never
+    changes; the pickle itself leaves the memo out.
+    """
+    payload = topology._payload
+    if payload is None:
+        payload = pickle.dumps(topology, protocol=pickle.HIGHEST_PROTOCOL)
+        topology._payload = payload
+    return payload
 
 
 def _resolve_topology(key: Tuple, payload: bytes) -> CompiledTopology:

@@ -287,15 +287,11 @@ def analyze_many(
         except (OSError, ValueError):
             arena = None
 
-    payloads: Dict[Tuple, bytes] = {}
     units = []
     shipped = 0
     for index, ct in enumerate(compiled):
         key = topology_key(ct.topology)
-        payload = payloads.get(key)
-        if payload is None:
-            payload = _dispatch.encode_topology(ct.topology)
-            payloads[key] = payload
+        payload = _dispatch.encode_topology(ct.topology)
         shipped += len(payload)
         if arena is not None:
             value_host, value_view = arena.allocate((3, ct.size))
@@ -374,6 +370,7 @@ def analyze_many(
                     names=ct.names,
                     settle_band=settle_band,
                     metrics=MetricArrays(**body),
+                    _index=ct.topology.index,
                 )
             )
         else:
@@ -592,6 +589,7 @@ def analyze_batch_sharded(
                         names=compiled.names,
                         settle_band=settle_band,
                         metrics=MetricArrays(**_shard_metrics(body, start, stop)),
+                        _index=compiled.topology.index,
                     ),
                     bytes_shipped=unit_shipped[index],
                     bytes_returned=(
@@ -632,6 +630,7 @@ def analyze_batch_sharded(
         names=compiled.names,
         settle_band=settle_band,
         metrics=MetricArrays(**stitched),
+        _index=compiled.topology.index,
     )
 
 

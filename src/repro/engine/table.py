@@ -190,6 +190,7 @@ def evaluate(compiled: CompiledTree, settle_band: float = 0.1) -> TimingTable:
         names=compiled.names,
         settle_band=settle_band,
         metrics=metrics_from_sums(t_rc, t_lc, settle_band),
+        _index=compiled.topology.index,
     )
 
 
@@ -214,6 +215,7 @@ def timing_table(
         names=compiled.names,
         settle_band=settle_band,
         metrics=metrics_from_sums(t_rc, t_lc, settle_band),
+        _index=compiled.topology.index,
     )
 
 
@@ -460,6 +462,7 @@ def analyze_batch(
         metrics=_evaluate_block(
             compiled.topology, r, l, c, settle_band, select
         ),
+        _index=compiled.topology.index,
     )
 
 

@@ -463,8 +463,19 @@ class _LogNormalFactors(Axis):
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         sig = self.sigmas
+        shift = -0.5 * sig * sig
         z = rng.standard_normal((count, self.sections, 3))
-        return np.exp(-0.5 * sig * sig + sig * z).transpose(0, 2, 1)
+        # In place, one element kind at a time: the same IEEE operations
+        # as exp(shift + sig * z), without broadcasting a (3,) vector
+        # over a length-3 last axis (a 3-element inner loop) or
+        # allocating draw-sized temporaries.
+        kinds = z.reshape(-1, 3)
+        for k in range(3):
+            column = kinds[:, k]
+            np.multiply(column, sig[k], out=column)
+            np.add(column, shift[k], out=column)
+        np.exp(z, out=z)
+        return z.transpose(0, 2, 1)
 
     @property
     def factors(self) -> Expr:

@@ -21,10 +21,12 @@ from repro.apps import (
 )
 from repro.apps.variation import (
     VariationModel,
+    _factor_prefix,
     _staged_factor_values,
     sample_delays,
 )
 from repro.circuit import fig5_tree
+from repro.sweep import lognormal_factors
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,34 @@ class TestStagedFactorMemory:
         )
         staged = _staged_factor_values(8, sig, nominal, 100, seed=5, stage=13)
         assert staged.tobytes() == reference.tobytes()
+
+
+class TestChunkedFactorDraw:
+    """The lazy axis draws in place, one element kind at a time; its
+    chunks must concatenate to the eager broadcast draw bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, 4097])
+    def test_chunks_match_eager_draws(self, chunk):
+        sections, seed = 7, 21
+        samples = 2 * chunk + 3  # ragged last chunk for chunk > 3
+        sig = np.array([0.15, 0.1, 0.2])
+        nominal = np.array([25.0, 5e-9, 0.5e-12])[:, None] * np.ones(sections)
+        axis = lognormal_factors(
+            f"draw{chunk}", sigmas=sig, sections=sections,
+            samples=samples, seed=seed,
+        )
+        rng = axis.start_stream()
+        blocks = [
+            axis.draw(rng, min(chunk, samples - lo))
+            for lo in range(0, samples, chunk)
+        ]
+        drawn = np.concatenate(blocks)
+        prefix = _factor_prefix(sig, sections, samples, seed)
+        assert drawn.tobytes() == prefix.tobytes()
+        staged = _staged_factor_values(
+            sections, sig, nominal, samples, seed=seed, stage=chunk
+        )
+        assert (drawn * nominal).tobytes() == staged.tobytes()
 
 
 class TestSweepWidthsLazy:
