@@ -1,12 +1,10 @@
 """Repeat ``analyze_many`` calls — memoized compiles against cold ones.
 
 ``compile_tree`` memoizes each tree's structure key and value vectors
-on the tree, and ``encode_topology`` the pickled payload on the
-topology, so a second ``analyze_many`` over the same trees walks no
+on the tree, so a second ``analyze_many`` over the same trees walks no
 tree in Python. The oracle is the cold path, ``cache=False``, which
-reads nothing memoized. On 64 random trees of 200-4000 sections, with
-a serial (``workers=1``) ``analyze_many``, the gate asserts over
-interleaved repeats:
+reads nothing memoized. On 64 random trees of 200-4000 sections, the
+gate asserts over interleaved repeats:
 
 * the repeat call is bitwise equal to the cold call, every field of
   every tree;
@@ -47,11 +45,11 @@ def _trees(seed=5):
 
 
 def _repeat(trees):
-    return analyze_many(trees, workers=1)
+    return analyze_many(trees)
 
 
 def _cold(trees):
-    return analyze_many(trees, workers=1, cache=False)
+    return analyze_many(trees, cache=False)
 
 
 def _timed(fn, trees):

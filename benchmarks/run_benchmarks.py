@@ -14,11 +14,10 @@ results to ``BENCH_engine.json`` at the repository root:
   vs a full engine recompute per edit, plus ``optimize_width`` routed
   through the incremental probe path vs per-probe tree rebuilds
   (``BENCH_incremental.json``);
-* **sharded dispatch** — serial vs the zero-copy sharded pool on both
-  workload shapes, at the shard count the measured crossover
-  calibration plans (``BENCH_sharded.json``); the calibration itself is
-  persisted to ``BENCH_crossover.json`` and a routed below-break-even
-  batch is checked against the never-slower-than-serial floor.
+* **threaded batches** — ``analyze_batch_sharded`` on the in-process
+  thread pool vs the serial ``analyze_batch`` on one large block, plus a
+  planner-routed batch at the two-tile threading threshold checked
+  against the serial engine (``BENCH_sharded.json``).
 
 Modes::
 
@@ -42,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -58,7 +58,6 @@ from repro.engine import (
     IncrementalAnalyzer,
     analyze_batch,
     analyze_batch_sharded,
-    analyze_many,
     clear_topology_cache,
     compile_tree,
     effective_cpu_count,
@@ -66,18 +65,13 @@ from repro.engine import (
     shutdown_pool,
     timing_table,
 )
-from repro.runtime import (
-    ExecutionContext,
-    RuntimeConfig,
-    plan_shards,
-    run_calibration,
-    save_calibration,
-)
+from repro.engine.kernels import METRIC_NAMES
+from repro.engine.table import _tile_rows
+from repro.runtime import ExecutionContext, RuntimeConfig
 
 RESULT_PATH = REPO_ROOT / "BENCH_engine.json"
 RESULT_SHARDED_PATH = REPO_ROOT / "BENCH_sharded.json"
 RESULT_INCREMENTAL_PATH = REPO_ROOT / "BENCH_incremental.json"
-RESULT_CROSSOVER_PATH = REPO_ROOT / "BENCH_crossover.json"
 
 TARGETS = {"full_tree_10k": 10.0, "variation_1000x1k": 50.0}
 
@@ -92,16 +86,14 @@ INCREMENTAL_QUICK_TARGETS = {"single_edit": 2.0, "optimize_width": 1.2}
 #: to this relative drift on every benchmarked query.
 INCREMENTAL_DRIFT_LIMIT = 1e-12
 
-# The sharded dispatch must show >= 1.5x over the serial engine at the
-# calibrated shard count — but only where parallel speedup is physically
-# possible: the target is asserted on machines with at least
-# MIN_CORES_FOR_TARGET *effective* cores (affinity-aware, not
-# os.cpu_count). Result drift, by contrast, must be exactly zero
-# everywhere: sharding is a transport change, not a numerical one. The
-# routed floor also applies on every box: a crossover-calibrated
-# context must never make a below-break-even batch meaningfully slower
-# than calling the serial engine directly (0.8 absorbs timer noise on
-# sub-millisecond calls).
+# The threaded batch must show >= 1.5x over the serial engine — but
+# only where parallel speedup is physically possible: the target is
+# asserted on machines with at least MIN_CORES_FOR_TARGET *effective*
+# cores (affinity-aware, not os.cpu_count). Bitwise equality, by
+# contrast, applies everywhere: threading splits rows, it changes no
+# arithmetic. The routed floor also applies on every box: a batch the
+# planner threads at the smallest size it threads (two serial tiles)
+# must never run meaningfully slower than the serial engine.
 SHARDED_TARGET = 1.5
 MIN_CORES_FOR_TARGET = 2
 ROUTED_FLOOR = 0.8
@@ -215,128 +207,96 @@ def bench_variation(scenarios: int, chains: int, depth: int,
     }
 
 
-def bench_many_trees(count: int, sections: int, workers: int,
-                     repeats: int = 3) -> dict:
-    """analyze_many over a heterogeneous tree set, serial vs sharded."""
-    compiled = [
-        compile_tree(random_tree(sections, np.random.default_rng(seed)))
-        for seed in range(count)
-    ]
-
-    def serial():
-        return analyze_many(compiled, workers=0)
-
-    def sharded():
-        return analyze_many(compiled, workers=workers)
-
-    sharded()  # spin the pool up and seed the worker caches once
-    drift = max(
-        float(np.max(np.abs(a.delay_50 - b.delay_50)))
-        for a, b in zip(serial(), sharded())
-    )
-    serial_s = best_of(repeats, serial)
-    sharded_s = best_of(repeats, sharded)
-    return {
-        "trees": count,
-        "sections": sections,
-        "workers": workers,
-        "max_abs_drift": drift,
-        "serial_s": serial_s,
-        "sharded_s": sharded_s,
-        "speedup": serial_s / sharded_s,
-    }
-
-
-def bench_sharded_batch(scenarios: int, chains: int, depth: int,
-                        workers: int, repeats: int = 3,
-                        calibration=None) -> dict:
-    """analyze_batch_sharded vs in-process analyze_batch, one topology.
-
-    With a calibration, the shard count comes from the cost model
-    (:func:`repro.runtime.plan_shards`): fewer, larger shards near the
-    break-even point instead of one sliver per worker.
-    """
-    tree = comb_tree(chains, depth)
-    compiled = compile_tree(tree)
-    rng = np.random.default_rng(1)
+def _scenario_block(compiled, scenarios: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
     factors = np.exp(0.1 * rng.standard_normal((scenarios, 3, compiled.size)))
     nominal = np.stack(
         [compiled.resistance, compiled.inductance, compiled.capacitance]
     )
-    block = factors * nominal
-    shards = plan_shards(scenarios * compiled.size, workers, calibration)
+    return factors * nominal
+
+
+def _bitwise(got, want) -> bool:
+    """Every metric field of two results equal bit for bit."""
+    for name in METRIC_NAMES:
+        a, b = getattr(got.metrics, name), getattr(want.metrics, name)
+        if (a is None) != (b is None):
+            return False
+        if a is not None and a.tobytes() != b.tobytes():
+            return False
+    return True
+
+
+def _paired_medians(repeats: int, first, second):
+    """Median seconds of two callables timed in alternating order."""
+    samples = ([], [])
+    for rep in range(repeats):
+        order = (0, 1) if rep % 2 == 0 else (1, 0)
+        for which in order:
+            fn = (first, second)[which]
+            start = time.perf_counter()
+            fn()
+            samples[which].append(time.perf_counter() - start)
+    return statistics.median(samples[0]), statistics.median(samples[1])
+
+
+def bench_threaded_batch(scenarios: int, sections: int, workers: int,
+                         repeats: int = 5) -> dict:
+    """analyze_batch_sharded on ``workers`` threads vs analyze_batch.
+
+    The block has the shape of the ``batch`` workload: a random
+    branching tree, every node evaluated in every scenario.
+    """
+    compiled = compile_tree(random_tree(sections, np.random.default_rng(3)))
+    block = _scenario_block(compiled, scenarios, seed=1)
 
     def serial():
         return analyze_batch(compiled, block)
 
-    def sharded():
-        return analyze_batch_sharded(
-            compiled, block, shards=shards, workers=workers
-        )
+    def threaded():
+        return analyze_batch_sharded(compiled, block, workers=workers)
 
-    sharded()  # warm the pool
-    drift = float(np.max(np.abs(serial().delay_50 - sharded().delay_50)))
-    serial_s = best_of(repeats, serial)
-    sharded_s = best_of(repeats, sharded)
+    bitwise = _bitwise(threaded(), serial())
+    serial_s, threaded_s = _paired_medians(repeats, serial, threaded)
     return {
         "scenarios": scenarios,
         "sections": compiled.size,
-        "shards": shards,
+        "tile_rows": _tile_rows(compiled.topology),
         "workers": workers,
-        "max_abs_drift": drift,
+        "bitwise": bitwise,
         "serial_s": serial_s,
-        "sharded_s": sharded_s,
-        "speedup": serial_s / sharded_s,
+        "threaded_s": threaded_s,
+        "speedup": serial_s / threaded_s,
     }
 
 
-def bench_routed_crossover(calibration, repeats: int = 5) -> dict:
-    """Planner-routed small batch vs direct serial: the never-slower gate.
+def bench_routed_threshold(workers: int, repeats: int = 7) -> dict:
+    """A planner-routed batch at two serial tiles vs direct serial.
 
-    A batch well below the measured break-even must be kept on the
-    in-process engine by a calibrated :class:`ExecutionContext`, so its
-    cost tracks a direct ``analyze_batch`` call and its numbers are
-    bitwise identical. (If the calibration says sharding wins even at
-    this size, routing there must still hold the floor — that is what
-    the model promised.)
+    Two tiles is the smallest block the planner threads, so it is where
+    the pool's fixed per-call cost weighs most against what the second
+    thread wins.
     """
-    tree = comb_tree(4, 25)  # 101 sections
-    compiled = compile_tree(tree)
-    rng = np.random.default_rng(3)
-    # Big enough that the context's fixed per-call cost (planning,
-    # stats, backend scoping — order 0.1ms) is a few percent of the
-    # runtime, small enough to sit below any plausible break-even.
-    scenarios = 200
-    block = rng.uniform(0.5, 2.0, size=(scenarios, 3, compiled.size))
-    cells = scenarios * compiled.size
+    compiled = compile_tree(comb_tree(4, 25))  # 101 sections
+    rows = _tile_rows(compiled.topology)
+    block = _scenario_block(compiled, 2 * rows, seed=3)
 
     def serial():
         return analyze_batch(compiled, block)
 
-    serial_result = serial()
-    serial_s = best_of(repeats, serial)
-    config = RuntimeConfig(
-        workers=calibration.workers, calibration=calibration
-    )
-    with ExecutionContext(config) as context:
-        routed_result = context.batch(compiled, block)  # warm + correctness
-        routed_s = best_of(repeats, lambda: context.batch(compiled, block))
-        sharded_calls = context.stats()["dispatch"].get("sharded", 0)
-    drift = float(
-        np.max(
-            np.abs(
-                routed_result.metrics.delay_50
-                - serial_result.metrics.delay_50
-            )
-        )
-    )
+    with ExecutionContext(RuntimeConfig(workers=workers)) as context:
+        def routed():
+            return context.batch(compiled, block)
+
+        bitwise = _bitwise(routed(), serial())
+        serial_s, routed_s = _paired_medians(repeats, serial, routed)
+        threaded_calls = context.stats()["dispatch"].get("sharded", 0)
     return {
-        "scenarios": scenarios,
+        "scenarios": 2 * rows,
         "sections": compiled.size,
-        "cells": cells,
-        "below_breakeven": not calibration.sharded_wins(cells),
-        "routed_sharded_calls": int(sharded_calls),
-        "max_abs_drift": drift,
+        "tile_rows": rows,
+        "routed_threaded_calls": int(threaded_calls),
+        "bitwise": bitwise,
         "serial_s": serial_s,
         "routed_s": routed_s,
         "ratio_vs_serial": serial_s / routed_s,
@@ -502,89 +462,63 @@ def check_incremental(results: dict) -> list:
     return failures
 
 
-def run_sharded(
-    quick: bool, crossover_path: pathlib.Path = RESULT_CROSSOVER_PATH
-) -> dict:
-    """The sharded-vs-serial scaling numbers behind BENCH_sharded.json.
-
-    Also runs the crossover microbenchmark, persists the calibration to
-    ``crossover_path``, and times a below-break-even batch through a
-    calibrated context (the never-slower-than-serial check).
-    """
+def run_sharded(quick: bool) -> dict:
+    """The threaded-vs-serial numbers behind BENCH_sharded.json."""
     cores = effective_cpu_count()
     workers = max(2, min(4, cores))
     clear_topology_cache()
+    repeats = 5 if quick else 9
     try:
-        calibration = run_calibration(
-            workers=workers,
-            sizes=(64, 256, 1024) if quick else (64, 256, 1024, 4096),
-            repeats=2 if quick else 3,
-        )
-        save_calibration(calibration, crossover_path)
-        if quick:
-            many = bench_many_trees(12, 120, workers)
-            batch = bench_sharded_batch(200, 4, 50, workers,
-                                        calibration=calibration)
-        else:
-            many = bench_many_trees(48, 400, workers)
-            batch = bench_sharded_batch(2000, 10, 100, workers,
-                                        calibration=calibration)
-        routed = bench_routed_crossover(calibration)
+        batch = bench_threaded_batch(2000, 1000, workers, repeats=repeats)
+        routed = bench_routed_threshold(workers, repeats=repeats + 2)
     finally:
         shutdown_pool()
     return {
         "mode": "quick" if quick else "full",
         "cores": cores,
         "workers": workers,
+        "repeats": repeats,
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
         "target_speedup": SHARDED_TARGET,
         "min_cores_for_target": MIN_CORES_FOR_TARGET,
         "target_applies": cores >= MIN_CORES_FOR_TARGET,
         "routed_floor": ROUTED_FLOOR,
-        "calibration": {
-            "workers": calibration.workers,
-            "breakeven_cells": calibration.breakeven_cells,
-            "serial_per_cell_s": calibration.serial_per_cell,
-            "sharded_per_cell_s": calibration.sharded_per_cell,
-            "file": crossover_path.name,
-        },
-        "many_trees": many,
-        "batch": batch,
+        "threaded_batch": batch,
         "routed": routed,
     }
 
 
 def check_sharded(results: dict) -> list:
-    """Failure messages for a sharded run (empty when acceptable).
+    """Failure messages for a threaded run (empty when acceptable).
 
-    Drift is a correctness gate and applies everywhere, as does the
-    routed never-slower floor; the speedup target applies only on
-    machines with enough effective cores for parallel dispatch to have
-    any headroom.
+    Bitwise equality is a correctness gate and applies everywhere, as
+    does the routed floor; the speedup target applies only on machines
+    with enough effective cores for a second thread to have headroom.
     """
     failures = []
-    for label in ("many_trees", "batch"):
-        row = results[label]
-        if row["max_abs_drift"] != 0.0:
-            failures.append(
-                f"sharded {label} drifted from serial by "
-                f"{row['max_abs_drift']:.3e}; results must be bitwise equal"
-            )
-        if results["target_applies"] and row["speedup"] < SHARDED_TARGET:
-            failures.append(
-                f"sharded {label} speedup {row['speedup']:.2f}x below the "
-                f"{SHARDED_TARGET:.1f}x target on {results['cores']} cores"
-            )
+    batch = results["threaded_batch"]
     routed = results["routed"]
-    if routed["max_abs_drift"] != 0.0:
+    for label, row in (("threaded batch", batch), ("routed batch", routed)):
+        if not row["bitwise"]:
+            failures.append(
+                f"{label} diverged from serial analyze_batch; results "
+                "must be bitwise equal"
+            )
+    if results["target_applies"] and batch["speedup"] < SHARDED_TARGET:
         failures.append(
-            f"calibrated routing drifted from direct serial by "
-            f"{routed['max_abs_drift']:.3e}; results must be bitwise equal"
+            f"threaded batch speedup {batch['speedup']:.2f}x below the "
+            f"{SHARDED_TARGET:.1f}x target on {results['cores']} cores"
+        )
+    if routed["routed_threaded_calls"] < 1:
+        failures.append(
+            "the planner kept a two-tile batch serial with "
+            f"workers={results['workers']}"
         )
     if routed["ratio_vs_serial"] < ROUTED_FLOOR:
         failures.append(
-            f"calibrated routing ran a {routed['cells']}-cell batch at "
-            f"{routed['ratio_vs_serial']:.2f}x of direct serial speed "
-            f"(never-slower floor {ROUTED_FLOOR:.2f})"
+            f"routed two-tile batch ran at {routed['ratio_vs_serial']:.2f}x "
+            f"of direct serial speed (floor {ROUTED_FLOOR:.2f})"
         )
     return failures
 
@@ -677,7 +611,7 @@ def result_kind(results: dict) -> str:
     """Which benchmark family a result JSON came from, by its keys."""
     for kind, marker in (
         ("engine", "full_tree"),
-        ("sharded", "many_trees"),
+        ("sharded", "threaded_batch"),
         ("incremental", "single_edit"),
     ):
         if marker in results:
@@ -735,13 +669,6 @@ def main(argv=None) -> int:
         f"(default: {RESULT_INCREMENTAL_PATH})",
     )
     parser.add_argument(
-        "--crossover-output",
-        type=pathlib.Path,
-        default=RESULT_CROSSOVER_PATH,
-        help="crossover calibration JSON path "
-        f"(default: {RESULT_CROSSOVER_PATH})",
-    )
-    parser.add_argument(
         "--compare",
         type=pathlib.Path,
         default=None,
@@ -757,7 +684,7 @@ def main(argv=None) -> int:
     args.incremental_output.write_text(
         json.dumps(incremental, indent=2) + "\n"
     )
-    sharded = run_sharded(args.quick, crossover_path=args.crossover_output)
+    sharded = run_sharded(args.quick)
     args.sharded_output.write_text(json.dumps(sharded, indent=2) + "\n")
 
     print(f"mode: {results['mode']}")
@@ -787,29 +714,12 @@ def main(argv=None) -> int:
         f"full {w['full_s']:.3f}s  incremental {w['incremental_s']:.4f}s  "
         f"-> {w['speedup']:.1f}x (drift {w['max_relative_drift']:.1e})"
     )
-    m = sharded["many_trees"]
+    b = sharded["threaded_batch"]
     print(
-        f"sharded trees    {m['trees']}x{m['sections']}: "
-        f"serial {m['serial_s']:.3f}s  sharded {m['sharded_s']:.3f}s  "
-        f"-> {m['speedup']:.2f}x (drift {m['max_abs_drift']:.1e}, "
-        f"{sharded['workers']} workers)"
-    )
-    b = sharded["batch"]
-    print(
-        f"sharded batch    {b['scenarios']}x{b['sections']}: "
-        f"serial {b['serial_s']:.3f}s  sharded {b['sharded_s']:.3f}s  "
-        f"-> {b['speedup']:.2f}x (drift {b['max_abs_drift']:.1e}, "
-        f"{b['shards']} shards)"
-    )
-    c = sharded["calibration"]
-    breakeven = (
-        f"{c['breakeven_cells']} cells"
-        if c["breakeven_cells"] is not None
-        else "never (pool loses at every size here)"
-    )
-    print(
-        f"crossover        {c['workers']} workers: "
-        f"break-even {breakeven}"
+        f"threaded batch   {b['scenarios']}x{b['sections']}: "
+        f"serial {b['serial_s']:.3f}s  threaded {b['threaded_s']:.3f}s  "
+        f"-> {b['speedup']:.2f}x (bitwise {b['bitwise']}, "
+        f"{b['workers']} threads)"
     )
     r = sharded["routed"]
     print(
@@ -817,16 +727,16 @@ def main(argv=None) -> int:
         f"serial {r['serial_s'] * 1e3:.2f}ms  "
         f"routed {r['routed_s'] * 1e3:.2f}ms  "
         f"-> {r['ratio_vs_serial']:.2f}x of serial "
-        f"({r['routed_sharded_calls']} sharded dispatches)"
+        f"({r['routed_threaded_calls']} threaded dispatches)"
     )
     if not sharded["target_applies"]:
         print(
             f"note: {sharded['cores']} effective cores < "
-            f"{MIN_CORES_FOR_TARGET}: sharded speedup target not asserted"
+            f"{MIN_CORES_FOR_TARGET}: threaded speedup target not asserted"
         )
     print(
-        f"results written to {args.output}, {args.incremental_output}, "
-        f"{args.sharded_output} and {args.crossover_output}"
+        f"results written to {args.output}, {args.incremental_output} "
+        f"and {args.sharded_output}"
     )
 
     failures = (

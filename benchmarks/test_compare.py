@@ -72,7 +72,7 @@ class TestCompareResults:
 class TestResultKind:
     def test_marker_keys(self):
         assert run_benchmarks.result_kind({"full_tree": []}) == "engine"
-        assert run_benchmarks.result_kind({"many_trees": []}) == "sharded"
+        assert run_benchmarks.result_kind({"threaded_batch": {}}) == "sharded"
         assert run_benchmarks.result_kind(
             {"single_edit": {}}
         ) == "incremental"

@@ -24,7 +24,7 @@ Package layout:
 * :mod:`repro.simulation` — exact LTI solvers (the AS/X substitute)
 * :mod:`repro.reduction` — AWE and Kahng-Muddu baselines
 * :mod:`repro.engine` — compiled vectorized kernels, delta updates and
-  the multi-process dispatch layer
+  the threaded batch tier
 * :mod:`repro.runtime` — the unified execution runtime: backend
   registry, workload-aware routing and one instrumentation surface
 * :mod:`repro.apps` — buffer insertion, wire sizing, clock skew built on

@@ -238,7 +238,7 @@ def sample_delays(
     is flattened once, the log-normal factor draws become a sequential
     scenario axis, and the ``(chunk, 3, n)`` value blocks are staged
     and evaluated chunk by chunk through the execution runtime — each
-    chunk routed across the calibrated serial/sharded crossover — so
+    chunk routed by the runtime's planner — so
     peak value-matrix memory is ``O(chunk_size x n)`` rather than
     ``O(samples x n)``. The RNG stream is drawn chunk by chunk from one
     seeded generator whose concatenated blocks are bitwise the single

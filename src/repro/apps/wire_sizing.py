@@ -278,10 +278,10 @@ def sweep_widths(
     problem's compiled template: the width axis and the per-section
     ``R/L/C`` expressions replicate the tree-extraction arithmetic, the
     executor stages bounded ``(chunk, 3, n)`` blocks, and each chunk
-    dispatches through the execution runtime's calibrated
-    serial/sharded crossover. The staged rows are the identical value
-    vectors every path extracts and the sharded kernels replicate the
-    serial arithmetic operation for operation, so the returned delays
+    dispatches through the execution runtime's planner. The staged
+    rows are the identical value vectors every path extracts and the
+    threaded tiles run the serial arithmetic operation for operation,
+    so the returned delays
     are **bitwise identical** whichever backend the planner picks, for
     any ``chunk_size``.
 

@@ -54,18 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and dump the engine cache/counter statistics to stderr after "
         "the command",
     )
-    parser.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per shard of a supervised multi-process "
-        "dispatch; 0 or negative disables the deadline "
-        "(default: the runtime's 30s)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="re-dispatch attempts for a shard whose worker died or "
-        "timed out before degrading to serial in-process evaluation "
-        "(default: 2)",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     analyze = commands.add_parser(
@@ -233,13 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker budget of the context's sharded backend "
-        "(default: runtime default)",
-    )
-    serve.add_argument(
-        "--calibration", default=None, metavar="PATH",
-        help="install a persisted crossover calibration "
-        "(BENCH_crossover.json) into the serving context",
+        help="thread budget of the context's sharded backend for large "
+        "batches (default: one thread)",
     )
     serve.add_argument(
         "--max-requests", type=int, default=0, metavar="N",
@@ -573,8 +556,6 @@ def _print_cache_info(runtime: ExecutionContext) -> None:
         "workloads",
         "plans",
         "pool",
-        "supervision",
-        "transport",
         "sweep",
     ):
         counters = stats[group]
@@ -603,29 +584,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     Every command runs inside one :class:`~repro.runtime.ExecutionContext`
     (``--backend`` forces its routing); the ``with`` block guarantees
-    worker-pool and shared-memory teardown even when a command raises.
+    thread-pool teardown even when a command raises.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    overrides = {}
-    if args.shard_timeout is not None:
-        overrides["shard_timeout"] = (
-            args.shard_timeout if args.shard_timeout > 0 else None
-        )
-    if args.max_retries is not None:
-        overrides["max_retries"] = args.max_retries
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if getattr(args, "calibration", None):
-        from pathlib import Path
-
-        from .runtime import load_calibration
-
-        calibration = load_calibration(Path(args.calibration))
-        if calibration is not None:  # corrupt file degrades with a warning
-            overrides["calibration"] = calibration
     config = RuntimeConfig(
-        backend=getattr(args, "backend", None), **overrides
+        backend=getattr(args, "backend", None),
+        workers=getattr(args, "workers", None),
     )
     try:
         with ExecutionContext(config) as runtime:

@@ -22,17 +22,12 @@ kernels:
   one stacked ``(S, N)`` array pass — the shape of Monte-Carlo variation,
   wire-sizing and clock-tuning workloads;
 * :mod:`~repro.engine.sharded` / :mod:`~repro.engine.dispatch` — the
-  multi-process scale step: :func:`analyze_many` dispatches
-  heterogeneous tree sets and :func:`analyze_batch_sharded` splits huge
-  scenario batches into shards evaluated across a worker pool
-  (``compile once, ship CompiledTree + value blocks`` over
-  ``multiprocessing`` with shared-memory value matrices), with
-  per-shard structured error capture and bitwise-identical results
-  versus the in-process engine. Multi-worker dispatches are
-  *supervised*: per-shard wall-clock deadlines, bounded retry with
-  automatic pool rebuild on worker death, and serial in-process
-  fallback when retries are exhausted, so a crashed or hung worker can
-  never hang the call or change the numbers.
+  bulk shapes: :func:`analyze_many` evaluates heterogeneous tree sets
+  with per-tree structured error capture, and
+  :func:`analyze_batch_sharded` splits a large scenario block into
+  contiguous row ranges run on an in-process thread pool (NumPy
+  releases the GIL inside its kernels), each thread writing its rows of
+  preallocated outputs — bitwise identical to the serial engine.
 
 The engine is an accelerator, not a second implementation of the
 physics: its kernels mirror the scalar formulas of
@@ -42,10 +37,7 @@ oracle to 1e-12 relative. See ``docs/PERFORMANCE.md`` for the
 architecture and measured speedups (``BENCH_engine.json``).
 
 The kernels call NumPy directly; it is the only array library the
-engine supports. Sharded calls move input values and metric outputs
-through persistent shared-memory *arenas* in
-:mod:`~repro.engine.dispatch` — parent-owned, grow-only segments reused
-across calls — without pickling.
+engine supports.
 """
 
 from .compiled import (
@@ -53,21 +45,11 @@ from .compiled import (
     CompiledTree,
     clear_topology_cache,
     compile_tree,
-    seed_topology_cache,
     topology_cache_info,
     topology_fingerprint,
     topology_key,
 )
-from .dispatch import (
-    SupervisionPolicy,
-    arena_info,
-    dispatch_pool,
-    dispatch_telemetry,
-    effective_cpu_count,
-    pool_health,
-    release_arenas,
-    reset_dispatch_telemetry,
-)
+from .dispatch import dispatch_pool, effective_cpu_count, shutdown_pool
 from .incremental import (
     EditSession,
     IncrementalAnalyzer,
@@ -86,7 +68,6 @@ from .sharded import (
     ShardOutcome,
     analyze_batch_sharded,
     analyze_many,
-    shutdown_pool,
 )
 from .table import (
     BatchTiming,
@@ -118,7 +99,6 @@ __all__ = [
     "topology_fingerprint",
     "topology_key",
     "clear_topology_cache",
-    "seed_topology_cache",
     "topology_cache_info",
     "MetricArrays",
     "metrics_from_sums",
@@ -135,12 +115,6 @@ __all__ = [
     "analyze_batch_sharded",
     "shutdown_pool",
     "dispatch_pool",
-    "SupervisionPolicy",
-    "pool_health",
-    "dispatch_telemetry",
-    "reset_dispatch_telemetry",
-    "arena_info",
-    "release_arenas",
     "effective_cpu_count",
     "IncrementalAnalyzer",
     "EditSession",

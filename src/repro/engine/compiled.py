@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,8 +56,6 @@ __all__ = [
     "topology_key",
     "compile_tree",
     "clear_topology_cache",
-    "seed_topology_cache",
-    "lookup_topology",
     "topology_cache_info",
 ]
 
@@ -121,11 +119,9 @@ def topology_fingerprint(tree: RLCTree) -> Tuple[str, int, bytes]:
 def topology_key(topology: "CompiledTopology") -> Tuple[str, int, bytes]:
     """The :func:`topology_fingerprint` a compiled topology came from.
 
-    Reconstructed purely from the structure arrays, so a
-    :class:`CompiledTopology` shipped to a worker process (where the
-    original :class:`~repro.circuit.tree.RLCTree` never existed) can be
-    seeded into that process's topology cache under the same key the
-    parent used. Cached on the topology after the first call.
+    Reconstructed purely from the structure arrays, so it needs no
+    :class:`~repro.circuit.tree.RLCTree` (an unpickled topology has
+    none). Cached on the topology after the first call.
     """
     key = topology._key
     if key is None:
@@ -153,10 +149,9 @@ class _LevelGroup:
 class CompiledTopology:
     """The structure of one RLC tree, flattened to index arrays.
 
-    Two memo fields ride along: ``_key`` (see :func:`topology_key`) and
-    ``_payload``, the pickled form the dispatch layer ships to workers.
-    Neither is pickled, nor are the lazy per-topology caches, which a
-    worker rebuilds on demand.
+    A memo field rides along: ``_key`` (see :func:`topology_key`). It
+    is not pickled, nor are the lazy per-topology caches, which an
+    unpickled copy rebuilds on demand.
     """
 
     def __init__(self, root: str, names: Tuple[str, ...], parent: np.ndarray):
@@ -227,7 +222,6 @@ class CompiledTopology:
         self._root_paths: Dict[int, Tuple[np.ndarray, List[int]]] = {}
         self._parent_pylist: Optional[List[int]] = None
         self._key: Optional[Tuple[str, int, bytes]] = None
-        self._payload: Optional[bytes] = None
 
     @classmethod
     def from_tree(cls, tree: RLCTree) -> "CompiledTopology":
@@ -237,7 +231,6 @@ class CompiledTopology:
         state = self.__dict__.copy()
         state.update(
             _key=None,
-            _payload=None,
             _preorder=None,
             _root_paths={},
             _parent_pylist=None,
@@ -512,7 +505,7 @@ class CompiledTree:
 # A process-global LRU keyed on topology fingerprints. Every mutation —
 # lookup + move_to_end, insert + evict, counter bumps — happens under
 # ``_cache_lock``: compile_tree is called from threaded design loops and
-# from the sharded dispatch workers' task threads, and an unsynchronized
+# from the analysis service's executor threads, and an unsynchronized
 # OrderedDict corrupts under concurrent move_to_end/popitem (and loses
 # counter updates). The structural compile itself runs outside the lock,
 # so concurrent misses may compile the same topology twice; the first
@@ -566,48 +559,6 @@ def compile_tree(tree: RLCTree, *, cache: bool = True) -> CompiledTree:
     return CompiledTree(topology, r.copy(), l.copy(), c.copy())
 
 
-def lookup_topology(key: Tuple) -> Optional[CompiledTopology]:
-    """The cached topology under ``key``, counting a hit or a miss.
-
-    The dispatch layer's per-process lookup: a worker that receives a
-    work unit consults its own cache by key before unpickling the
-    shipped payload, so the hit/miss counters aggregated by
-    :func:`repro.engine.sharded.topology_cache_info` reflect how often
-    the payload actually had to be decoded.
-    """
-    global _cache_hits, _cache_misses
-    with _cache_lock:
-        topology = _cache.get(key)
-        if topology is not None:
-            _cache_hits += 1
-            _cache.move_to_end(key)
-        else:
-            _cache_misses += 1
-    return topology
-
-
-def seed_topology_cache(
-    topology: CompiledTopology, key: Optional[Tuple] = None
-) -> Tuple:
-    """Insert an already-compiled ``topology`` into the cache.
-
-    Used by the sharded dispatch workers to seed their per-process
-    caches from pickled :class:`CompiledTopology` payloads shipped with
-    the work units. Counts neither a hit nor a miss; returns the key the
-    topology was stored under.
-    """
-    if key is None:
-        key = topology_key(topology)
-    with _cache_lock:
-        if key in _cache:
-            _cache.move_to_end(key)
-        else:
-            _cache[key] = topology
-            while len(_cache) > _CACHE_MAXSIZE:
-                _cache.popitem(last=False)
-    return key
-
-
 def clear_topology_cache() -> None:
     """Empty the topology cache and reset its counters."""
     global _cache_hits, _cache_misses, _preorder_builds
@@ -619,12 +570,7 @@ def clear_topology_cache() -> None:
 
 
 def topology_cache_info() -> Dict[str, int]:
-    """``{"hits", "misses", "size", "maxsize"}`` of the topology cache.
-
-    Counts this process only; the sharded dispatch layer exposes
-    :func:`repro.engine.sharded.topology_cache_info`, which aggregates
-    this over every worker in the pool.
-    """
+    """``{"hits", "misses", "size", "maxsize"}`` of the topology cache."""
     with _cache_lock:
         return {
             "hits": _cache_hits,

@@ -11,8 +11,9 @@ compiled topology and ``(S, n)`` value matrices (or a stacked
 ``(S, 3, n)`` R/L/C block), it evaluates all S x n node metrics with
 array passes over cache-sized row tiles — the shape of Monte-Carlo
 variation, sweep-based sizing and tuning workloads, where the tree's
-structure never changes and only the element values do. The sharded
-workers of :mod:`repro.engine.dispatch` run the same tiled pipeline.
+structure never changes and only the element values do. The threaded
+tier of :mod:`repro.engine.sharded` runs the same tiled pipeline, one
+contiguous row range per thread.
 
 :func:`iter_analyze_batch` is the chunked form of the same pass: a
 caller-supplied ``fill`` stages scenario blocks into one reused
@@ -363,11 +364,23 @@ _TILE_CELLS = 65_536
 _LEVEL_CELLS = 4096
 
 
+def pass_levels(topology) -> int:
+    """Level-loop iterations of one tree pass over ``topology``.
+
+    A chain runs each pass as one ``cumsum``, so it counts as one level.
+    """
+    return 1 if topology.is_chain else len(topology.levels)
+
+
+def tile_rows(size: int, levels: int) -> int:
+    """Scenario rows per tile for a ``size``-node tree of ``levels``."""
+    width = max(size, 1)
+    return max(_TILE_CELLS // width, -(-_LEVEL_CELLS * levels // width), 1)
+
+
 def _tile_rows(topology) -> int:
     """Scenario rows per tile for blocks over ``topology``."""
-    width = max(topology.size, 1)
-    levels = 1 if topology.is_chain else len(topology.levels)
-    return max(_TILE_CELLS // width, -(-_LEVEL_CELLS * levels // width), 1)
+    return tile_rows(topology.size, pass_levels(topology))
 
 
 def _evaluate_tile(topology, r, l, c, settle_band, select) -> MetricArrays:
@@ -375,6 +388,7 @@ def _evaluate_tile(topology, r, l, c, settle_band, select) -> MetricArrays:
     loads = topology.accumulate(c)
     t_rc = topology.descend(r * loads)
     t_lc = topology.descend(l * loads)
+    del loads
     return metrics_from_sums(t_rc, t_lc, settle_band, select=select)
 
 
@@ -386,20 +400,25 @@ def _evaluate_block(
     settle_band: float,
     select: Optional[Tuple[str, ...]],
     out: Optional[Dict[str, np.ndarray]] = None,
+    rows: Optional[int] = None,
 ) -> MetricArrays:
     """Metrics of ``(S, n)`` value matrices, evaluated in row tiles.
 
-    The block is walked :func:`_tile_rows` scenario rows at a time and
-    each tile's fields are copied into ``(S, n)`` outputs —
-    ``out`` (field name to destination, e.g. shared-memory arena rows;
-    it must cover every field the selection produces) or fresh arrays.
-    Every step is row-local (segment sums and running sums along the
-    node axis, elementwise kernels), so the result is bitwise identical
-    to one pass over the whole block. Without ``out``, a block that fits
-    one tile is evaluated in one pass and its arrays returned uncopied.
+    The block is walked ``rows`` scenario rows at a time (default
+    :func:`_tile_rows`) and each tile's fields are copied into
+    ``(S, n)`` outputs — ``out`` (field name to destination, e.g. one
+    thread's rows of a shared result block; it must cover every field
+    the selection produces) or fresh arrays. Each tile is released
+    before the next one is evaluated, so one tile's arrays are alive at
+    a time. Every step is row-local (segment sums and running sums
+    along the node axis, elementwise kernels), so the result is bitwise
+    identical to one pass over the whole block. Without ``out``, a
+    block that fits one tile is evaluated in one pass and its arrays
+    returned uncopied.
     """
     scenarios, n = r.shape
-    rows = _tile_rows(topology)
+    if rows is None:
+        rows = _tile_rows(topology)
     if out is None and scenarios <= rows:
         return _evaluate_tile(topology, r, l, c, settle_band, select)
     for lo in range(0, scenarios, rows):
@@ -415,6 +434,7 @@ def _evaluate_block(
             }
         for name, values in out.items():
             values[lo:hi] = getattr(tile, name)
+        del tile
     return MetricArrays(**out)
 
 

@@ -14,23 +14,11 @@ and the numerics of the rest of the library:
   fallback-chain front door with the guarantee *finite metrics or a*
   :class:`~repro.errors.ReproError`;
 * :mod:`~repro.robustness.faults` — the seeded fault-injection
-  generators the test harness (and any chaos pipeline) draws from,
-  including process-level worker faults (crash/hang/delay) for the
-  supervised dispatch pool.
+  generators the test harness (and any chaos pipeline) draws from.
 """
 
 from .diagnostics import Diagnostic, Severity, ValidationReport
-from .faults import (
-    FAMILIES,
-    PROCESS_FAULT_KINDS,
-    FaultCase,
-    ProcessFault,
-    ProcessFaultPlan,
-    degenerate_tree,
-    fault_suite,
-    perturb,
-    process_fault_plan,
-)
+from .faults import FAMILIES, FaultCase, degenerate_tree, fault_suite, perturb
 from .guarded import (
     GuardedAnalyzer,
     GuardedTiming,
@@ -76,10 +64,6 @@ __all__ = [
     "degenerate_tree",
     "perturb",
     "fault_suite",
-    "PROCESS_FAULT_KINDS",
-    "ProcessFault",
-    "ProcessFaultPlan",
-    "process_fault_plan",
     "DYNAMIC_RANGE_LIMIT",
     "FANOUT_LIMIT",
     "DEPTH_LIMIT",

@@ -16,24 +16,17 @@ generates those inputs deterministically from a seed:
   way corrupted extraction data or a buggy upstream tool would produce
   them;
 * :func:`fault_suite` — a reproducible stream of
-  :class:`FaultCase` records for the test harness;
-* :class:`ProcessFault` / :func:`process_fault_plan` — *process-level*
-  fault injection for the supervised dispatch pool: a picklable spec
-  that makes a chosen shard's worker crash (``os._exit``), hang, or
-  stall deterministically, applied by the worker-side hook in
-  :mod:`repro.engine.dispatch` (and inert outside pool workers, so the
-  serial recovery path can never re-trigger the fault it is recovering
-  from).
+  :class:`FaultCase` records for the test harness.
 
 Everything is driven by ``numpy.random.default_rng(seed)``; the same
-seed always yields the same tree (or shard fault plan), so a failing
-case from CI reproduces locally with one integer.
+seed always yields the same tree, so a failing case from CI reproduces
+locally with one integer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,10 +40,6 @@ __all__ = [
     "degenerate_tree",
     "perturb",
     "fault_suite",
-    "PROCESS_FAULT_KINDS",
-    "ProcessFault",
-    "ProcessFaultPlan",
-    "process_fault_plan",
 ]
 
 #: The degenerate-tree families :func:`degenerate_tree` cycles through.
@@ -274,114 +263,3 @@ def fault_suite(count: int, seed: int = 0) -> Iterator[FaultCase]:
     """
     for i in range(count):
         yield degenerate_tree(seed + i)
-
-
-# -- process-level fault injection -------------------------------------------
-
-#: The worker-misbehaviour kinds :class:`ProcessFault` can inject.
-PROCESS_FAULT_KINDS = ("crash", "hang", "delay")
-
-
-@dataclass(frozen=True)
-class ProcessFault:
-    """One deliberate worker misbehaviour, attached to a work unit.
-
-    Applied inside pool workers by the dispatch layer's worker-side
-    hook (:mod:`repro.engine.dispatch`), and deliberately *duck-typed*
-    there — this module never imports the engine, the engine never
-    imports this module, and the spec stays a plain picklable record:
-
-    * ``kind="crash"`` — the worker dies instantly via
-      ``os._exit(exit_code)``, the way a segfault or the OOM killer
-      takes a process down: no exception, no cleanup, a broken pool;
-    * ``kind="hang"`` — the worker sleeps ``seconds`` (effectively
-      forever by default), exercising the shard-timeout path;
-    * ``kind="delay"`` — the worker stalls ``seconds`` and then
-      completes normally, exercising slow-shard tolerance.
-
-    ``attempts`` bounds how many dispatch attempts the fault affects:
-    the default ``1`` fires on the first attempt only, so the
-    supervisor's retry succeeds and recovery is deterministic;
-    ``None`` fires on every attempt, forcing retry exhaustion and the
-    serial fallback. The hook is inert outside pool workers, so a
-    fault can never fire on the parent's serial path.
-    """
-
-    kind: str
-    attempts: Optional[int] = 1
-    seconds: Optional[float] = None
-    exit_code: int = 17
-
-    def __post_init__(self):
-        if self.kind not in PROCESS_FAULT_KINDS:
-            from ..errors import ConfigurationError
-
-            raise ConfigurationError(
-                f"unknown process fault kind {self.kind!r}; "
-                f"choose from {PROCESS_FAULT_KINDS}"
-            )
-        if self.attempts is not None and self.attempts < 1:
-            from ..errors import ConfigurationError
-
-            raise ConfigurationError(
-                f"attempts must be >= 1 or None, got {self.attempts!r}"
-            )
-        if self.seconds is not None and self.seconds < 0:
-            from ..errors import ConfigurationError
-
-            raise ConfigurationError(
-                f"seconds must be non-negative, got {self.seconds!r}"
-            )
-
-
-@dataclass(frozen=True)
-class ProcessFaultPlan:
-    """Which shards of one dispatch call misbehave, and how.
-
-    The ``fault_plan`` argument of
-    :func:`~repro.engine.sharded.analyze_many` and
-    :func:`~repro.engine.sharded.analyze_batch_sharded`. ``faults``
-    maps shard/unit index to its :class:`ProcessFault`; unlisted
-    shards run clean.
-    """
-
-    faults: Dict[int, ProcessFault] = field(default_factory=dict)
-
-    def for_shard(self, index: int) -> Optional[ProcessFault]:
-        return self.faults.get(index)
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
-
-def process_fault_plan(
-    seed: int,
-    shards: int,
-    kinds: Tuple[str, ...] = PROCESS_FAULT_KINDS,
-    count: int = 1,
-    attempts: Optional[int] = 1,
-    seconds: Optional[float] = None,
-) -> ProcessFaultPlan:
-    """A seeded plan: ``count`` faulty shards drawn from ``shards``.
-
-    Deterministic in ``seed`` — the same seed always picks the same
-    shard indices and fault kinds, so a recovery failure seen in CI
-    reproduces locally with one integer. ``kinds`` restricts the drawn
-    fault kinds (e.g. ``("crash",)`` for a pure worker-kill scenario);
-    ``attempts``/``seconds`` are passed through to every drawn
-    :class:`ProcessFault`.
-    """
-    if shards < 1:
-        from ..errors import ConfigurationError
-
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    rng = np.random.default_rng(seed)
-    count = max(0, min(count, shards))
-    indices = rng.choice(shards, size=count, replace=False)
-    faults = {}
-    for index in sorted(int(i) for i in indices):
-        kind = kinds[int(rng.integers(len(kinds)))]
-        faults[index] = ProcessFault(
-            kind=kind, attempts=attempts, seconds=seconds
-        )
-    return ProcessFaultPlan(faults=faults)

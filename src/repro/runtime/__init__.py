@@ -3,9 +3,8 @@
 Four PRs gave this reproduction four ways to evaluate the paper's
 closed forms — the scalar :class:`~repro.analysis.TreeAnalyzer`, the
 compiled :class:`~repro.engine.TimingTable` kernels, the delta-update
-:class:`~repro.engine.incremental.IncrementalAnalyzer` and the sharded
-multi-process dispatch layer. This package is the seam that makes them
-one system:
+:class:`~repro.engine.incremental.IncrementalAnalyzer` and the threaded
+batch tier. This package is the seam that makes them one system:
 
 * :mod:`~repro.runtime.backends` — the :class:`Backend` protocol
   (capabilities: point, table, batch, edit, many) with adapters
@@ -17,25 +16,21 @@ one system:
 * :mod:`~repro.runtime.context` — :class:`ExecutionContext` /
   :class:`Session`, the one front door apps, the CLI and the guarded
   pipeline dispatch through (and the context manager that guarantees
-  pool/shared-memory teardown on exceptions);
+  thread-pool shutdown on exceptions);
 * :mod:`~repro.runtime.config` — :class:`RuntimeConfig`, the one
   routing configuration apps, the CLI and the guarded pipeline take;
-* :mod:`~repro.runtime.calibrate` — the measured serial/sharded
-  crossover: microbenchmark both paths, fit linear cost models, route
-  batches by the fitted break-even point (persisted in
-  ``BENCH_crossover.json``) so planner-routed calls are never slower
-  than serial;
+  its ``workers`` field is the thread budget of the sharded backend;
 * :mod:`~repro.runtime.stats` — the single instrumentation surface
   behind ``context.stats()`` and CLI ``--debug``;
 * :mod:`~repro.runtime.breaker` — per-backend circuit breakers: N
-  consecutive sharded failures (or one worker-pool rebuild) open the
-  breaker, the planner degrades tripped routes along
-  ``sharded -> compiled -> scalar`` with provenance and a warn-once
-  notice, and a cooldown-expired half-open probe closes it again.
+  consecutive dispatch failures open the breaker, the planner degrades
+  tripped routes along ``sharded -> compiled -> scalar`` with
+  provenance and a warn-once notice, and a cooldown-expired half-open
+  probe closes it again.
 
 See ``docs/ARCHITECTURE.md`` for the layer map and the routing
-decision table, and ``docs/ROBUSTNESS.md`` for the process-level
-fault-recovery story.
+decision table, and ``docs/ROBUSTNESS.md`` for the failure-handling
+story.
 """
 
 from .backends import (
@@ -47,15 +42,6 @@ from .backends import (
     SessionState,
     ShardedBackend,
     default_registry,
-)
-from .calibrate import (
-    CALIBRATION_FILE,
-    CrossoverCalibration,
-    load_calibration,
-    plan_shards,
-    reset_calibration_warnings,
-    run_calibration,
-    save_calibration,
 )
 from .breaker import BreakerBoard, CircuitBreaker
 from .config import BACKEND_NAMES, RuntimeConfig
@@ -73,14 +59,12 @@ from .stats import RuntimeStats
 
 __all__ = [
     "BACKEND_NAMES",
-    "CALIBRATION_FILE",
     "WORKLOAD_KINDS",
     "Backend",
     "BackendRegistry",
     "BreakerBoard",
     "CircuitBreaker",
     "CompiledBackend",
-    "CrossoverCalibration",
     "ExecutionContext",
     "ExecutionPlan",
     "IncrementalBackend",
@@ -93,12 +77,7 @@ __all__ = [
     "Workload",
     "default_context",
     "default_registry",
-    "load_calibration",
     "plan",
-    "plan_shards",
-    "run_calibration",
-    "save_calibration",
-    "reset_calibration_warnings",
     "reset_default_context",
     "reset_degradation_warnings",
     "resolve_context",

@@ -13,8 +13,8 @@ can route any workload without knowing engine internals:
 * ``"incremental"`` — the delta-update
   :class:`~repro.engine.incremental.IncrementalAnalyzer` for
   edit-stream workloads.
-* ``"sharded"`` — the multi-process :func:`~repro.engine.analyze_many`
-  / :func:`~repro.engine.analyze_batch_sharded` dispatch layer.
+* ``"sharded"`` — :func:`~repro.engine.analyze_batch_sharded`, the
+  threaded batch tier: row tiles of one block on an in-process pool.
 
 Every adapter answers the same queries with bitwise-identical values on
 in-domain trees — the cross-backend equivalence suite pins that — so
@@ -293,11 +293,7 @@ class CompiledBackend(Backend):
         )
 
     def many(self, trees, settle_band, metrics, config):
-        # workers=1 runs the exact same unit code path serially, so the
-        # results are bitwise identical to pool dispatch.
-        return analyze_many(
-            trees, settle_band=settle_band, metrics=metrics, workers=1
-        )
+        return analyze_many(trees, settle_band=settle_band, metrics=metrics)
 
 
 class IncrementalBackend(Backend):
@@ -316,25 +312,13 @@ class IncrementalBackend(Backend):
         )
 
 
-def _supervision_policy(config: RuntimeConfig):
-    """The dispatch-layer supervision policy this config asks for."""
-    from ..engine.dispatch import SupervisionPolicy
-
-    return SupervisionPolicy(
-        shard_timeout=config.shard_timeout,
-        max_retries=config.max_retries,
-        backoff=config.retry_backoff,
-    )
-
-
 class ShardedBackend(Backend):
-    """The multi-process dispatch layer over the compiled kernels.
+    """The threaded batch tier over the compiled kernels.
 
-    Every dispatch runs under the supervision policy the config's
-    ``shard_timeout``/``max_retries``/``retry_backoff`` knobs describe:
-    worker death and hung shards cost a bounded retry (with automatic
-    pool rebuild) and at worst a serial in-process evaluation — the
-    call never hangs and the numbers never change.
+    Batches run as row tiles on ``config.workers`` threads when the
+    block spans at least two serial tiles, in the calling thread
+    otherwise; tree sets and single trees are evaluated serially, like
+    the compiled backend, with per-tree :class:`ShardError` capture.
     """
 
     name = "sharded"
@@ -343,50 +327,22 @@ class ShardedBackend(Backend):
     )
 
     def open(self, source, settle_band, config):
-        result = analyze_many(
-            [source],
-            settle_band=settle_band,
-            workers=config.workers,
-            supervision=_supervision_policy(config),
-        )[0]
+        result = analyze_many([source], settle_band=settle_band)[0]
         if isinstance(result, ShardError):
             raise DispatchError(str(result))
         return _TableState(result)
 
     def batch(self, compiled, rlc, settle_band, metrics, config):
-        scenarios = int(rlc.shape[0])
-        workers = config.workers if config.parallel else None
-        if config.shards is not None:
-            shards = config.shards
-        elif config.calibration is not None and workers:
-            # Cost-model shard sizing: near the break-even point fewer,
-            # larger shards amortize dispatch overhead better than one
-            # shard per worker.
-            from .calibrate import plan_shards
-
-            shards = plan_shards(
-                scenarios * compiled.size, workers, config.calibration
-            )
-        else:
-            shards = min(workers or scenarios, scenarios)
         return analyze_batch_sharded(
             compiled,
             rlc,
             settle_band=settle_band,
             metrics=metrics,
-            shards=shards,
-            workers=workers,
-            supervision=_supervision_policy(config),
+            workers=config.workers if config.parallel else 1,
         )
 
     def many(self, trees, settle_band, metrics, config):
-        return analyze_many(
-            trees,
-            settle_band=settle_band,
-            metrics=metrics,
-            workers=config.workers,
-            supervision=_supervision_policy(config),
-        )
+        return analyze_many(trees, settle_band=settle_band, metrics=metrics)
 
 
 class BackendRegistry:

@@ -1,14 +1,13 @@
 """Per-backend circuit breakers for the execution runtime.
 
-The supervised dispatch layer (:mod:`repro.engine.dispatch`) makes a
-single sharded call survive worker death; the breaker makes the *next*
-call cheap when the pool keeps dying. Classic three-state machine, one
-per backend:
+A dispatch whose shards fail raises a
+:class:`~repro.errors.DispatchError`; the breaker makes the *next*
+calls cheap when a backend keeps failing. Classic three-state machine,
+one per backend:
 
 * **closed** — healthy, requests flow;
-* **open** — tripped by ``threshold`` consecutive failures or by one
-  pool rebuild (a rebuild means a worker died — the expensive incident
-  the breaker exists to not repeat); the planner routes around the
+* **open** — tripped by ``threshold`` consecutive failures or by an
+  explicit :meth:`CircuitBreaker.trip`; the planner routes around the
   backend until ``cooldown`` seconds pass;
 * **half-open** — the cooldown expired; the next request is a probe.
   Success closes the breaker, failure re-opens it for another full
@@ -124,7 +123,7 @@ class CircuitBreaker:
             )
 
     def trip(self, reason: str) -> None:
-        """Open immediately, whatever the failure count (pool rebuild)."""
+        """Open immediately, whatever the failure count."""
         self._consecutive_failures = max(
             self._consecutive_failures, self.threshold
         )

@@ -4,8 +4,8 @@
 (:class:`~repro.runtime.config.RuntimeConfig` +
 :func:`~repro.runtime.planner.plan`), the backend registry, the
 instrumentation counters and — when the sharded backend engages — the
-worker pool and shared-memory lifetime. Apps, the CLI and the guarded
-pipeline all go through it:
+thread pool's lifetime. Apps, the CLI and the guarded pipeline all go
+through it:
 
 * :meth:`ExecutionContext.session` — per-tree point/table/edit work,
   returning a :class:`Session` whose backend was chosen by the planner
@@ -14,16 +14,14 @@ pipeline all go through it:
   — scenario-batch and multi-tree work;
 * :meth:`ExecutionContext.sweep_chunks` — chunked lazy sweeps: every
   staged scenario block is planned and dispatched individually as a
-  ``"sweep"`` workload, so the calibrated serial/sharded crossover
-  applies per chunk;
+  ``"sweep"`` workload, so the threading rule applies per chunk;
 * :meth:`ExecutionContext.track` — an instrumentation hook for code
   that drives engine primitives directly but still wants its work
   counted on the one surface;
 * :meth:`ExecutionContext.stats` — the single instrumentation snapshot.
 
-Used as a context manager, the context guarantees worker-pool shutdown
-and shared-memory release even when the protected block raises — the
-leak path ``analyze_many`` callers used to have on error exits.
+Used as a context manager, the context guarantees thread-pool shutdown
+even when the protected block raises.
 """
 
 from __future__ import annotations
@@ -38,7 +36,12 @@ from ..circuit.tree import RLCTree
 from ..engine.compiled import CompiledTree
 from ..engine.incremental import IncrementalAnalyzer
 from ..engine.sharded import ShardError
-from ..engine.table import BatchTiming, TimingTable, iter_analyze_batch
+from ..engine.table import (
+    BatchTiming,
+    TimingTable,
+    iter_analyze_batch,
+    pass_levels,
+)
 from ..errors import DispatchError
 from .backends import BackendRegistry, SessionState, default_registry
 from .breaker import BreakerBoard
@@ -159,33 +162,6 @@ class ExecutionContext:
         self._config = config or RuntimeConfig()
         self._registry = registry or default_registry()
         self._stats = RuntimeStats()
-        # A calibration measured under a different worker budget must
-        # not drive this context's routing: its sharded cost curve was
-        # fitted for another pool shape, so its break-even point is
-        # meaningless here. Ignore it (warn once) and record the
-        # staleness so stats()/operators can see why routing fell back
-        # to the static thresholds.
-        self._calibration_stale = False
-        calibration = self._config.calibration
-        if (
-            calibration is not None
-            and self._config.workers is not None
-            and getattr(calibration, "workers", None)
-            not in (None, self._config.workers)
-        ):
-            from dataclasses import replace
-
-            from .calibrate import _warn_calibration
-
-            self._calibration_stale = True
-            _warn_calibration(
-                f"stale-workers:{calibration.workers}->{self._config.workers}",
-                f"ignoring calibration measured at workers="
-                f"{calibration.workers} for a context configured with "
-                f"workers={self._config.workers}; re-run run_calibration "
-                "with the current worker budget",
-            )
-            self._config = replace(self._config, calibration=None)
         self._breakers = BreakerBoard(
             threshold=self._config.breaker_threshold,
             cooldown=self._config.breaker_cooldown,
@@ -233,37 +209,17 @@ class ExecutionContext:
     def _dispatch(self, decision: ExecutionPlan, call: Callable):
         """Run one backend call and keep its circuit breaker informed.
 
-        For the sharded backend the dispatch-layer telemetry delta is
-        the health signal: a pool rebuild during the call trips the
-        breaker immediately (a worker died — the next calls should not
-        pay for respawning workers again), a serial fallback counts as
-        a failure, a clean run counts as a success (closing a half-open
-        breaker). A :class:`~repro.errors.DispatchError` — shards
-        failed outright — always counts as a failure, whatever the
-        backend.
+        A :class:`~repro.errors.DispatchError` — shards failed outright
+        — counts as a failure; a clean run counts as a success, which
+        closes a half-open breaker.
         """
         breaker = self._breakers.breaker(decision.backend)
-        if decision.backend != "sharded":
-            try:
-                return call()
-            except DispatchError as exc:
-                breaker.record_failure(str(exc))
-                raise
-        from ..engine.dispatch import dispatch_telemetry
-
-        before = dispatch_telemetry()
         try:
             result = call()
         except DispatchError as exc:
             breaker.record_failure(str(exc))
             raise
-        after = dispatch_telemetry()
-        if after["rebuilds"] > before["rebuilds"]:
-            breaker.trip("worker pool rebuilt during dispatch")
-        elif after["serial_fallbacks"] > before["serial_fallbacks"]:
-            breaker.record_failure("shard exhausted retries")
-        else:
-            breaker.record_success()
+        breaker.record_success()
         return result
 
     # -- per-tree sessions -------------------------------------------------
@@ -316,6 +272,7 @@ class ExecutionContext:
             kind="batch",
             tree_size=compiled.topology.size,
             scenarios=int(rlc.shape[0]),
+            levels=pass_levels(compiled.topology),
         )
         decision = self.plan(workload, backend)
         adapter = self._registry.get(decision.backend)
@@ -346,8 +303,8 @@ class ExecutionContext:
         ``[lo, hi)`` into one reused ``(chunk, 3, n)`` buffer (see
         :func:`~repro.engine.table.iter_analyze_batch`) and every
         staged chunk is planned and dispatched *individually* as a
-        ``"sweep"`` workload — the calibrated serial/sharded crossover
-        decides per chunk, each chunk's backend and staged bytes land
+        ``"sweep"`` workload — the threading rule decides per chunk,
+        each chunk's backend and staged bytes land
         in ``stats()["sweep"]``, and a breaker tripping mid-sweep
         degrades the remaining chunks without losing the stream.
         ``provenance`` carries the sweep compiler's CSE counters into
@@ -355,11 +312,12 @@ class ExecutionContext:
         BatchTiming)`` pairs in offset order.
         """
         size = compiled.topology.size
+        levels = pass_levels(compiled.topology)
         self._stats.record_sweep_run(provenance or {})
 
         def evaluate(view: np.ndarray, lo: int, hi: int) -> BatchTiming:
             workload = Workload(
-                kind="sweep", tree_size=size, scenarios=hi - lo
+                kind="sweep", tree_size=size, scenarios=hi - lo, levels=levels
             )
             decision = self.plan(workload, backend)
             adapter = self._registry.get(decision.backend)
@@ -414,27 +372,6 @@ class ExecutionContext:
                 ),
             )
 
-    # -- calibration -------------------------------------------------------
-
-    def calibrate(self, **kwargs):
-        """Measure the serial/sharded crossover and adopt it for routing.
-
-        Runs :func:`~repro.runtime.calibrate.run_calibration` with this
-        context's worker budget (keyword arguments are forwarded, e.g.
-        ``sizes=``/``repeats=``/``measure=``), installs the result as
-        ``config.calibration`` so subsequent batch plans route by the
-        measured break-even point, and returns the calibration for
-        persisting via
-        :func:`~repro.runtime.calibrate.save_calibration`.
-        """
-        from dataclasses import replace
-
-        from .calibrate import run_calibration
-
-        calibration = run_calibration(workers=self._config.workers, **kwargs)
-        self._config = replace(self._config, calibration=calibration)
-        return calibration
-
     # -- instrumentation ---------------------------------------------------
 
     def track(self, backend: str, kind: str):
@@ -463,15 +400,12 @@ class ExecutionContext:
 
         On top of the :class:`RuntimeStats` groups, ``"breakers"``
         holds this context's per-backend circuit-breaker states and
-        transition history, ``"calibration_stale"`` flags a persisted
-        crossover calibration that was ignored at construction because
-        it was measured under a different worker budget, and any groups
+        transition history, and any groups
         registered via :meth:`add_stats_group` (e.g. the analysis
         service's ``"service"`` group) appear under their own names.
         """
         snapshot = self._stats.snapshot()
         snapshot["breakers"] = self._breakers.snapshot()
-        snapshot["calibration_stale"] = self._calibration_stale
         return snapshot
 
     def reset_stats(self) -> None:
@@ -484,28 +418,25 @@ class ExecutionContext:
         return self._closed
 
     def close(self) -> None:
-        """Tear down pool workers and release the shared-memory arenas.
+        """Shut the thread pool down and join its threads.
 
-        Idempotent. The dispatch pool is process-global, so closing a
-        context also closes the pool for sibling contexts — they will
-        lazily respawn it. Long-lived services should keep one context
-        open rather than wrapping every call.
+        Idempotent. The pool is process-global, so closing a context
+        also closes it for sibling contexts — they lazily recreate it.
+        Long-lived services should keep one context open rather than
+        wrapping every call.
         """
         if self._closed:
             return
         self._closed = True
         from ..engine import shutdown_pool
-        from ..engine.dispatch import release_arenas
 
         shutdown_pool()
-        release_arenas()
 
     def __enter__(self) -> "ExecutionContext":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # Teardown runs on exceptions too: the pool/arena leak fix for
-        # error paths through analyze_many and friends.
+        # Teardown runs on exceptions too.
         self.close()
 
 
@@ -515,9 +446,8 @@ _default_context: Optional[ExecutionContext] = None
 def default_context() -> ExecutionContext:
     """The process-wide context used when callers pass none.
 
-    Lazily created; never closed automatically (the dispatch layer's
-    own ``atexit`` hooks release the pool and shared memory at process
-    exit).
+    Lazily created; never closed automatically (the thread pool is
+    joined at interpreter exit).
     """
     global _default_context
     if _default_context is None or _default_context.closed:

@@ -15,10 +15,8 @@ kind      condition                                     backend
 ========  ============================================  ===========
 any       ``backend=`` forced (call or config)          as forced
 edit      always (delta updates are the whole point)    incremental
-many      ``workers > 1`` and ``tree_count >= 2``       sharded
-many      otherwise                                     compiled
-batch     calibrated: ``cells >= breakeven_cells``      sharded
-batch     ``workers > 1`` and ``cells >= min_cells``    sharded
+many      always (per-tree arrays cannot pay threads)   compiled
+batch     ``workers > 1`` and ``S >= 2 * tile_rows``    sharded
 batch     otherwise                                     compiled
 sweep     same rules as ``batch``, per chunk            sharded/compiled
 table     always (one vectorized pass)                  compiled
@@ -26,8 +24,13 @@ point     ``tree_size <= point_scalar_max``             scalar
 point     otherwise                                     compiled
 ========  ============================================  ===========
 
+``tile_rows`` is the serial row-tile height of the batch's topology
+(:func:`repro.engine.table.tile_rows`): a block threads only when it
+spans at least two serial tiles; below that the pool's per-call cost
+outweighs what a second thread can win.
+
 When a backend is *unavailable* — its circuit breaker tripped after
-repeated shard failures or a pool rebuild — the auto-routing degrades
+repeated shard failures — the auto-routing degrades
 along ``sharded -> compiled -> scalar`` instead, stopping at the last
 backend that still supports the workload (batch/many never drop below
 ``compiled``). The resulting plan is marked ``degraded`` and carries
@@ -42,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from ..engine.table import tile_rows
 from ..errors import ConfigurationError
 from .config import RuntimeConfig
 
@@ -77,7 +81,10 @@ class Workload:
     ``"many"`` (independent, possibly heterogeneous trees) and
     ``"sweep"`` (one staged chunk of a lazy scenario sweep —
     ``scenarios`` rows over one topology, planned chunk by chunk so
-    the serial/sharded crossover applies per block).
+    the threading rule applies per block). ``levels`` is the number of
+    level loops one tree pass makes over the batch's topology
+    (:func:`repro.engine.table.pass_levels`; 1 for a chain), which sets
+    the row-tile height together with ``tree_size``.
     """
 
     kind: str
@@ -85,6 +92,7 @@ class Workload:
     scenarios: int = 0
     edit_count: int = 0
     tree_count: int = 1
+    levels: int = 1
 
     def __post_init__(self):
         if self.kind not in WORKLOAD_KINDS:
@@ -97,6 +105,11 @@ class Workload:
     def cells(self) -> int:
         """Total kernel lanes of a batch: scenarios x nodes."""
         return self.scenarios * self.tree_size
+
+    @property
+    def tile_rows(self) -> int:
+        """Scenario rows per serial tile of a batch over this tree."""
+        return tile_rows(self.tree_size, self.levels)
 
 
 @dataclass(frozen=True)
@@ -134,8 +147,7 @@ def _degrade(
     each step. The walk stops at the workload's capability floor: a
     batch/many/table workload never drops below ``compiled`` even when
     that breaker is open too — degradation must not change what the
-    call can compute, and at the floor the supervised dispatch layer's
-    own serial fallback is the remaining safety net.
+    call can compute.
     """
     reasons = []
     current = chosen
@@ -197,52 +209,24 @@ def plan(
             "-> delta updates"
         )
     elif workload.kind == "many":
-        if config.parallel and workload.tree_count >= 2:
-            chosen = "sharded"
-            reasons.append(
-                f"{workload.tree_count} trees with workers="
-                f"{config.workers} -> pool dispatch"
-            )
-        else:
-            chosen = "compiled"
-            reasons.append(
-                f"{workload.tree_count} tree(s) in-process "
-                f"(workers={config.workers}) -> serial vectorized"
-            )
+        chosen = "compiled"
+        reasons.append(
+            f"{workload.tree_count} tree(s) -> serial vectorized "
+            "(per-tree arrays are too small to pay for threads)"
+        )
     elif workload.kind in ("batch", "sweep"):
-        calibration = config.calibration
-        if calibration is not None:
-            # A measured crossover beats the static guess: route by the
-            # fitted break-even point, which is the never-slower-than-
-            # serial guarantee (below it the pool cannot pay off).
-            breakeven = calibration.breakeven_cells
-            if config.parallel and calibration.sharded_wins(workload.cells):
-                chosen = "sharded"
-                reasons.append(
-                    f"{workload.cells} cells >= calibrated break-even="
-                    f"{breakeven} with workers={config.workers} "
-                    "-> pool dispatch"
-                )
-            else:
-                chosen = "compiled"
-                reasons.append(
-                    f"{workload.cells} cells below calibrated "
-                    f"break-even={breakeven} or workers<=1 "
-                    "-> in-process vectorized (never slower than serial)"
-                )
-        elif config.parallel and workload.cells >= config.sharded_min_cells:
+        rows = workload.tile_rows
+        if config.parallel and workload.scenarios >= 2 * rows:
             chosen = "sharded"
             reasons.append(
-                f"{workload.cells} cells >= sharded_min_cells="
-                f"{config.sharded_min_cells} with workers="
-                f"{config.workers} -> pool dispatch"
+                f"{workload.scenarios} scenarios >= 2 tiles of {rows} rows "
+                f"with workers={config.workers} -> threaded tiles"
             )
         else:
             chosen = "compiled"
             reasons.append(
-                f"{workload.cells} cells below sharded_min_cells="
-                f"{config.sharded_min_cells} or workers<=1 "
-                "-> in-process vectorized"
+                f"{workload.scenarios} scenarios below 2 tiles of {rows} "
+                f"rows or workers<=1 -> in-process vectorized"
             )
     elif workload.kind == "table":
         chosen = "compiled"

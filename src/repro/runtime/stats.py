@@ -3,7 +3,7 @@
 :class:`RuntimeStats` aggregates everything a production operator wants
 from one place: per-backend dispatch counts, per-workload-kind wall
 clock, plan provenance tallies, the engine-layer cache counters
-(topology LRU, incremental engine) and the dispatch pool's state.
+(topology LRU, incremental engine) and the thread pool's size.
 ``ExecutionContext.stats()`` returns its snapshot; the CLI prints it
 under ``--debug``.
 """
@@ -98,28 +98,16 @@ class RuntimeStats:
         (per-kind call counts), ``"phases"`` (per-kind wall-clock
         seconds), ``"plans"`` (auto vs forced vs breaker-degraded
         decisions), ``"caches"`` (the engine layer's
-        :func:`~repro.engine.cache_info` groups), ``"pool"`` (worker
-        pool size and generation, sharded dispatches through this
-        context),
-        ``"supervision"`` (the dispatch layer's process-wide failure
-        telemetry: timeouts, retries, rebuilds, worker deaths, serial
-        fallbacks, per-worker failure counts), ``"transport"`` (the
-        zero-copy story made observable: bytes pickled to and from
-        workers, arena-segment reuse hits and each persistent arena's
-        capacity/generation) and ``"sweep"`` (the lazy-sweep executor:
+        :func:`~repro.engine.cache_info` groups), ``"pool"`` (thread
+        pool size, sharded dispatches through this context) and
+        ``"sweep"`` (the lazy-sweep executor:
         runs and chunks executed, the compiler's CSE hit/node/ref
         tallies, the largest staged chunk in bytes and per-backend
         chunk counts).
         """
         from ..engine import cache_info
-        from ..engine.dispatch import (
-            arena_info,
-            dispatch_telemetry,
-            pool_generation,
-            pool_size,
-        )
+        from ..engine.dispatch import pool_size
 
-        telemetry = dispatch_telemetry()
         snapshot = {
             "dispatch": dict(self._dispatch),
             "workloads": dict(self._workloads),
@@ -128,15 +116,7 @@ class RuntimeStats:
             "caches": cache_info(),
             "pool": {
                 "workers": pool_size(),
-                "generation": pool_generation(),
                 "sharded_dispatches": self._pool_dispatches,
-            },
-            "supervision": telemetry,
-            "transport": {
-                "bytes_shipped": telemetry["bytes_shipped"],
-                "bytes_returned": telemetry["bytes_returned"],
-                "arena_hits": telemetry["arena_hits"],
-                "arenas": arena_info(),
             },
             "sweep": {
                 "runs": self._sweep_runs,

@@ -2,7 +2,7 @@
 
 The :mod:`repro.service` package turns the one-shot runtime into a
 daemon: a single warm :class:`~repro.runtime.ExecutionContext` (hot
-topology LRU, live supervised pool, installed calibration) behind a
+topology LRU, shared thread pool) behind a
 stdlib-asyncio HTTP front with request coalescing, bounded admission,
 session cache affinity, and chunked streaming for sweeps. Start it with
 ``repro serve`` or embed :class:`AnalysisServer` directly.

@@ -2,7 +2,7 @@
 
 :class:`AnalysisServer` owns a single persistent
 :class:`~repro.runtime.ExecutionContext` — warm topology LRU, live
-supervised pool, installed calibration — and serves the runtime's
+thread pool — and serves the runtime's
 workloads over plain HTTP/1.1 (stdlib :mod:`asyncio`, zero
 dependencies):
 
@@ -33,7 +33,7 @@ The traffic path is the engineering:
   NDJSON line per scenario chunk, so a million-point sweep never
   materializes as one response buffer;
 * **graceful drain** — shutdown stops admitting, finishes in-flight
-  work, then tears down pool and arenas through the context-manager
+  work, then shuts the thread pool down through the context-manager
   path the runtime already guarantees.
 
 Engine work runs on a small thread executor so the event loop stays
@@ -196,9 +196,9 @@ class AnalysisServer:
 
         New requests arriving during the drain get ``503`` with
         ``Connection: close``; in-flight requests (including running
-        sweep streams) complete normally. Teardown of the worker pool
-        and the shared-memory arenas goes through the runtime's
-        context-manager path when the server owns its context.
+        sweep streams) complete normally. The thread pool is shut down
+        through the runtime's context-manager path when the server owns
+        its context.
         """
         self._draining = True
         if self._server is not None:
@@ -210,8 +210,8 @@ class AnalysisServer:
             writer.close()
         self._executor.shutdown(wait=True)
         if self._owns_context:
-            # The existing context-manager teardown: pool shutdown plus
-            # shared-memory release, exception-safe.
+            # The context-manager teardown: pool shutdown,
+            # exception-safe.
             self._context.__exit__(None, None, None)
 
     async def serve(self, on_ready=None) -> None:

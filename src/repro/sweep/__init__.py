@@ -14,8 +14,7 @@ from an eager ``(S, 3, n)`` block into a three-step program:
    axes against the scenario space.
 3. **Execute** (:mod:`.execute`) — :func:`iter_sweep` /
    :func:`run_sweep` stream bounded chunks through the execution
-   runtime (planned per chunk across the calibrated serial/sharded
-   crossover), evaluating each shared subtree once per chunk. Peak
+   runtime (each chunk planned on its own), evaluating each shared subtree once per chunk. Peak
    value-matrix memory is ``O(chunk x n)``, not ``O(S x n)``, and the
    results are bitwise identical to the eager batch path.
 

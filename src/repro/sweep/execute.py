@@ -5,8 +5,8 @@ the engine's chunk iterator for one reused ``(chunk, 3, n)`` staging
 buffer, evaluates the compiled expression schedule per chunk (shared
 subtrees once, per the CSE schedule), and hands every staged chunk to
 :meth:`repro.runtime.ExecutionContext.sweep_chunks`, where the planner
-routes it through the calibrated serial/sharded crossover as a
-``"sweep"`` workload. Peak value-matrix memory is ``O(chunk x n)``
+routes it as a ``"sweep"`` workload (threaded row tiles when the chunk
+spans at least two serial tiles and the context has workers). Peak value-matrix memory is ``O(chunk x n)``
 regardless of the scenario count.
 
 Sequential axes (RNG-backed factor draws) carry their generator in a

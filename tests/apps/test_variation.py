@@ -167,8 +167,7 @@ class TestDegenerateSampleCounts:
 
 
 class TestShardedSampling:
-    """A worker budget routes through the dispatch pool with bitwise-equal
-    draws."""
+    """A worker budget never changes a draw or a delay bit."""
 
     def test_workers_bitwise_identical(self, tree):
         serial = sample_delays(

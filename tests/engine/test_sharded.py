@@ -1,28 +1,28 @@
-"""Sharded dispatch: multi-tree sets, scenario shards, error capture."""
+"""Tree sets, threaded scenario shards, per-unit error capture."""
 
 import numpy as np
 import pytest
 
-from repro.circuit import random_tree, single_line
+from repro.circuit import RLCTree, Section, random_tree, single_line
 from repro.engine import (
     ShardError,
     ShardOutcome,
     analyze_batch,
     analyze_batch_sharded,
     analyze_many,
-    arena_info,
     clear_topology_cache,
     compile_tree,
-    dispatch_telemetry,
     evaluate,
-    release_arenas,
-    reset_dispatch_telemetry,
     shutdown_pool,
+    table,
+    topology_cache_info,
 )
 from repro.engine import sharded as sharded_mod
+from repro.engine.dispatch import pool_size
 from repro.engine.kernels import METRIC_NAMES
 from repro.engine.sharded import _shard_slices
 from repro.errors import ConfigurationError, DispatchError
+from repro.runtime import ExecutionContext, RuntimeConfig
 
 WORKERS = 2
 
@@ -34,7 +34,7 @@ def fresh_cache():
     clear_topology_cache()
 
 
-@pytest.fixture(scope="module", autouse=True)
+@pytest.fixture(autouse=True)
 def pool_teardown():
     yield
     shutdown_pool()
@@ -66,10 +66,45 @@ class TestShardSlices:
         assert [stop - start for start, stop in slices] == [1, 1, 1, 1]
 
 
+def bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def assert_bitwise(got, want):
+    for name in METRIC_NAMES:
+        expected = getattr(want, name)
+        actual = getattr(got, name)
+        if expected is None:
+            assert actual is None, name
+            continue
+        assert actual.shape == expected.shape, name
+        np.testing.assert_array_equal(bits(actual), bits(expected), err_msg=name)
+
+
+def comb(chains, depth):
+    tree = RLCTree()
+    for c in range(chains):
+        parent = tree.root
+        for d in range(depth):
+            name = f"c{c}_{d}"
+            tree.add_section(name, parent, section=Section(15.0, 2e-9, 2e-13))
+            parent = name
+    return tree
+
+
+def threading_tree(kind):
+    if kind == "chain":
+        return single_line(300, resistance=25.0, inductance=2e-9,
+                           capacitance=3e-13)
+    if kind == "comb":
+        return comb(10, 30)
+    return random_tree(1000, np.random.default_rng(11))
+
+
 class TestAnalyzeMany:
     def test_matches_serial_evaluate_bitwise(self):
         trees = tree_set()
-        results = analyze_many(trees, workers=WORKERS)
+        results = analyze_many(trees)
         assert len(results) == len(trees)
         for tree, table in zip(trees, results):
             assert not isinstance(table, ShardError)
@@ -81,24 +116,27 @@ class TestAnalyzeMany:
                 )
 
     def test_serial_fallback_is_identical(self):
+        # A forced sharded backend evaluates tree sets serially too.
         trees = tree_set(count=4)
-        parallel = analyze_many(trees, workers=WORKERS)
-        serial = analyze_many(trees, workers=0)
-        for a, b in zip(parallel, serial):
+        context = ExecutionContext(RuntimeConfig(workers=WORKERS))
+        forced = context.analyze_many(trees, backend="sharded")
+        serial = analyze_many(trees)
+        for a, b in zip(forced, serial):
             np.testing.assert_array_equal(a.delay_50, b.delay_50)
+        assert pool_size() == 0
 
     def test_accepts_compiled_trees(self):
         trees = [compile_tree(t) for t in tree_set(count=3)]
-        results = analyze_many(trees, workers=WORKERS)
-        for ct, table in zip(trees, results):
+        results = analyze_many(trees)
+        for ct, result in zip(trees, results):
             np.testing.assert_array_equal(
-                table.delay_50, evaluate(ct).delay_50
+                result.delay_50, evaluate(ct).delay_50
             )
 
     def test_deterministic_input_ordering(self):
         trees = tree_set(count=5)
-        first = analyze_many(trees, workers=WORKERS)
-        second = analyze_many(trees, workers=WORKERS)
+        first = analyze_many(trees)
+        second = analyze_many(trees)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a.delay_50, b.delay_50)
         # Order follows the input, not completion: sinks differ per tree.
@@ -111,9 +149,7 @@ class TestAnalyzeMany:
         poisoned = good.with_values(
             np.full(good.size, np.nan), good.inductance, good.capacitance
         )
-        results = analyze_many(
-            [trees[1], poisoned, trees[2]], workers=WORKERS
-        )
+        results = analyze_many([trees[1], poisoned, trees[2]])
         assert isinstance(results[0], type(evaluate(good)))
         assert isinstance(results[1], ShardError)
         assert isinstance(results[2], type(evaluate(good)))
@@ -127,10 +163,8 @@ class TestAnalyzeMany:
 
     def test_metric_selection(self):
         trees = tree_set(count=2)
-        results = analyze_many(
-            trees, metrics=("delay_50",), workers=WORKERS
-        )
-        full = analyze_many(trees, workers=WORKERS)
+        results = analyze_many(trees, metrics=("delay_50",))
+        full = analyze_many(trees)
         for sel, ref in zip(results, full):
             np.testing.assert_array_equal(sel.delay_50, ref.delay_50)
             with pytest.raises(Exception):
@@ -143,10 +177,34 @@ class TestAnalyzeMany:
     def test_rc_limit_trees_supported(self):
         rc = single_line(4, resistance=50.0, inductance=0.0,
                          capacitance=0.1e-12)
-        table = analyze_many([rc], workers=WORKERS)[0]
+        result = analyze_many([rc])[0]
         np.testing.assert_array_equal(
-            table.delay_50, evaluate(compile_tree(rc)).delay_50
+            result.delay_50, evaluate(compile_tree(rc)).delay_50
         )
+
+    def test_uncached_compile_leaves_topology_cache_alone(self):
+        trees = tree_set(count=3)
+        analyze_many(trees[:1])  # one cached topology, one miss
+        before = topology_cache_info()
+        results = analyze_many(trees, cache=False)
+        assert topology_cache_info() == before
+        assert all(not isinstance(r, ShardError) for r in results)
+
+    def test_forced_sharded_many_keeps_per_tree_errors(self):
+        trees = tree_set(count=3)
+        good = compile_tree(trees[0])
+        poisoned = good.with_values(
+            np.full(good.size, np.nan), good.inductance, good.capacitance
+        )
+        context = ExecutionContext(RuntimeConfig(workers=WORKERS))
+        results = context.analyze_many(
+            [trees[1], poisoned, trees[2]], backend="sharded"
+        )
+        assert len(results) == 3
+        assert isinstance(results[1], ShardError)
+        assert results[1].error_type == "ElementValueError"
+        for tree, result in zip((trees[1], trees[2]), results[::2]):
+            assert_bitwise(result.metrics, evaluate(compile_tree(tree)).metrics)
 
 
 class TestAnalyzeBatchSharded:
@@ -179,6 +237,7 @@ class TestAnalyzeBatchSharded:
         )
         serial = analyze_batch(compiled, block)
         np.testing.assert_array_equal(sharded.delay_50, serial.delay_50)
+        assert pool_size() == 0
 
     def test_metric_selection_matches_serial(self, fig5):
         compiled = compile_tree(fig5)
@@ -262,71 +321,58 @@ class TestPerShardFailure:
             )
 
 
-class TestPoolCacheInfo:
-    def test_aggregates_parent_and_workers(self, fig5):
-        compiled = compile_tree(fig5)
-        block = scenario_block(compiled, 12)
-        analyze_batch_sharded(compiled, block, shards=4, workers=WORKERS)
-        info = sharded_mod.topology_cache_info()
-        assert set(info) >= {"hits", "misses", "size", "parent", "workers"}
-        assert len(info["workers"]) == WORKERS
-        # Every worker that evaluated a shard decoded or reused the
-        # shipped payload: pool-wide misses plus hits cover the lookups.
-        pool_lookups = sum(
-            w["hits"] + w["misses"] for w in info["workers"].values()
-        )
-        assert pool_lookups >= 1
-        assert info["hits"] >= info["parent"]["hits"]
+class TestThreadedBatch:
+    """Thread-pool batches are bitwise equal to ``analyze_batch``."""
 
-    def test_empty_without_pool(self):
-        shutdown_pool()
-        info = sharded_mod.topology_cache_info()
-        assert info["workers"] == {}
-        assert info["parent"]["size"] == info["size"]
+    @pytest.mark.parametrize("kind", ["random", "comb", "chain"])
+    @pytest.mark.parametrize("metrics", [None, ("delay_50", "overshoot")])
+    def test_bitwise_across_trees_and_metrics(self, kind, metrics):
+        compiled = compile_tree(threading_tree(kind))
+        rows = table._tile_rows(compiled.topology)
+        block = scenario_block(compiled, 4 * rows + 7, seed=3)
+        got = analyze_batch_sharded(compiled, block, metrics=metrics,
+                                    workers=WORKERS)
+        want = analyze_batch(compiled, block, metrics=metrics)
+        assert_bitwise(got.metrics, want.metrics)
+        assert pool_size() == WORKERS
 
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_just_above_the_two_tile_threshold(self, extra):
+        compiled = compile_tree(threading_tree("random"))
+        rows = table._tile_rows(compiled.topology)
+        block = scenario_block(compiled, 2 * rows + extra, seed=4)
+        got = analyze_batch_sharded(compiled, block, workers=WORKERS)
+        assert_bitwise(got.metrics, analyze_batch(compiled, block).metrics)
+        assert pool_size() == WORKERS
 
-class TestInlineTransportFallback:
-    """Without a usable arena every unit carries its values inline."""
+    def test_below_two_tiles_stays_in_the_calling_thread(self):
+        compiled = compile_tree(threading_tree("random"))
+        rows = table._tile_rows(compiled.topology)
+        block = scenario_block(compiled, 2 * rows - 1, seed=4)
+        got = analyze_batch_sharded(compiled, block, workers=WORKERS)
+        assert_bitwise(got.metrics, analyze_batch(compiled, block).metrics)
+        assert pool_size() == 0
 
-    @pytest.fixture(autouse=True)
-    def no_arena(self, monkeypatch):
-        def unavailable(tag):
-            raise OSError(f"no shared memory for arena {tag!r}")
+    def test_cold_topology_first_evaluated_on_threads(self):
+        tree = threading_tree("random")
+        compiled = compile_tree(tree, cache=False)
+        rows = table._tile_rows(compiled.topology)
+        block = scenario_block(compiled, 3 * rows + 1, seed=6)
+        got = analyze_batch_sharded(compiled, block, workers=WORKERS)
+        want = analyze_batch(compile_tree(tree, cache=False), block)
+        assert_bitwise(got.metrics, want.metrics)
 
-        release_arenas()
-        monkeypatch.setattr("repro.engine.dispatch.get_arena", unavailable)
-        reset_dispatch_telemetry()
-        yield
-        reset_dispatch_telemetry()
+    def test_cells_in_flight_stay_at_one_serial_tile(self, monkeypatch):
+        compiled = compile_tree(threading_tree("random"))
+        rows = table._tile_rows(compiled.topology)
+        heights = []
+        evaluate_block = sharded_mod._evaluate_block
 
-    def test_batch_ships_inline_and_matches_compiled(self, fig5):
-        compiled = compile_tree(fig5)
-        block = scenario_block(compiled, 17, seed=5)
-        sharded = analyze_batch_sharded(
-            compiled, block, shards=2, workers=WORKERS
-        )
-        reference = analyze_batch(compiled, block)
-        for metric in METRIC_NAMES:
-            np.testing.assert_array_equal(
-                getattr(sharded.metrics, metric),
-                getattr(reference.metrics, metric),
-            )
-        telemetry = dispatch_telemetry()
-        assert telemetry["bytes_shipped"] > 0
-        assert telemetry["bytes_returned"] > 0
-        assert arena_info() == {}
+        def spy(*args, **kwargs):
+            heights.append(kwargs["rows"])
+            return evaluate_block(*args, **kwargs)
 
-    def test_many_ships_inline_and_matches_compiled(self):
-        trees = tree_set(count=4)
-        results = analyze_many(trees, workers=WORKERS)
-        for tree, table in zip(trees, results):
-            reference = evaluate(compile_tree(tree))
-            for metric in METRIC_NAMES:
-                np.testing.assert_array_equal(
-                    getattr(table.metrics, metric),
-                    getattr(reference.metrics, metric),
-                )
-        telemetry = dispatch_telemetry()
-        assert telemetry["bytes_shipped"] > 0
-        assert telemetry["bytes_returned"] > 0
-        assert arena_info() == {}
+        monkeypatch.setattr(sharded_mod, "_evaluate_block", spy)
+        block = scenario_block(compiled, 4 * rows, seed=2)
+        analyze_batch_sharded(compiled, block, workers=WORKERS)
+        assert heights == [rows // WORKERS] * WORKERS

@@ -1,27 +1,20 @@
 """Row-tiled batch evaluation is bitwise identical to one untiled pass.
 
 ``analyze_batch`` walks large scenario blocks in row tiles of
-``_TILE_CELLS`` cells, and the sharded workers run the same tiled
-pipeline. The oracle here is the untiled pipeline spelled out: both
+``_TILE_CELLS`` cells, and the threaded tier runs the same tiled
+pipeline on contiguous row ranges. The oracle here is the untiled pipeline spelled out: both
 tree passes and the metric kernels over the whole ``(S, n)`` block at
 once. Every comparison is on the raw float64 bits.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.circuit import RLCTree, Section, random_tree, single_line
 from repro.engine import analyze_batch, clear_topology_cache, compile_tree, table
-from repro.engine.compiled import topology_key
-from repro.engine.dispatch import (
-    BatchShard,
-    encode_topology,
-    get_arena,
-    release_arenas,
-    run_batch_shard,
-    shared_memory_available,
-    shutdown_pool,
-)
+from repro.engine.dispatch import shutdown_pool
 from repro.engine.kernels import METRIC_NAMES, metrics_from_sums
 from repro.engine.sharded import analyze_batch_sharded
 
@@ -221,99 +214,76 @@ def test_multi_tile_outputs_own_their_data(small_tile):
         assert values.flags.owndata and values.flags.c_contiguous, name
 
 
+def test_each_tile_is_released_before_the_next(small_tile):
+    """Only one tile's metric arrays are alive while the next is computed.
+
+    Above the ``(S, n)`` outputs, the peak holds one tile's temporaries
+    (about 2.5 tiles of field bytes); keeping the previous tile's
+    results alive adds one more tile on top.
+    """
+    compiled = compiled_tree("branching", 1000)
+    topology = compiled.topology
+    rows = tile_rows(compiled)
+    block = value_block(compiled, 6 * rows)
+    r, l, c = block[:, 0], block[:, 1], block[:, 2]
+    table._evaluate_block(topology, r, l, c, 0.1, None)
+    tracemalloc.start()
+    try:
+        metrics = table._evaluate_block(topology, r, l, c, 0.1, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field_bytes = 8 * compiled.size * 8
+    over = peak - len(block) * field_bytes
+    assert over < 3 * rows * field_bytes, over / (rows * field_bytes)
+    assert_bitwise(metrics, untiled(compiled, r, l, c))
+
+
 class TestShardWorker:
-    """``run_batch_shard`` evaluates its rows through the same tiles."""
+    """A shard's rows evaluate through the same tiles, threaded or not."""
 
     @pytest.fixture(autouse=True)
-    def no_leaked_resources(self):
-        release_arenas()
+    def no_leaked_pool(self):
         yield
         shutdown_pool()
-        release_arenas()
 
     def _setup(self, tiles=3):
         compiled = compiled_tree("branching", 1000)
         scenarios = tiles * tile_rows(compiled) + 5
         block = value_block(compiled, scenarios, seed=5)
-        topology = compiled.topology
-        shard = dict(
-            index=0,
-            key=topology_key(topology),
-            payload=encode_topology(topology),
-            settle_band=0.1,
-        )
-        return compiled, block, shard
+        return compiled, block
 
-    @pytest.mark.parametrize("metrics", [None, ["delay_50"]])
-    def test_inline_block(self, metrics):
-        compiled, block, shard = self._setup()
-        select = None if metrics is None else tuple(metrics)
-        start, stop = 17, len(block) - 3
-        assert stop - start > 2 * tile_rows(compiled)
-        index, status, body = run_batch_shard(
-            BatchShard(
-                **shard,
-                block=block[start:stop],
-                start=start,
-                stop=stop,
-                select=select,
-            )
-        )
-        assert (index, status) == (0, "ok")
-        want = analyze_batch(compiled, block, metrics=metrics).metrics
-        for name in METRIC_NAMES:
-            expected = getattr(want, name)
-            if expected is None:
-                assert body[name] is None, name
-            else:
-                np.testing.assert_array_equal(
-                    bits(body[name]), bits(expected[start:stop]), err_msg=name
-                )
-
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="no shared memory on platform"
-    )
     @pytest.mark.parametrize(
-        "fields",
-        [METRIC_NAMES, ("t_rc", "t_lc", "delay_50")],
+        "fields", [METRIC_NAMES, ("t_rc", "t_lc", "delay_50")]
     )
-    def test_arena_block(self, fields):
-        compiled, block, shard = self._setup()
+    def test_range_writes_only_its_rows(self, fields):
+        compiled, block = self._setup()
         scenarios, _, n = block.shape
-        arena = get_arena("test-tiles")
-        arena.begin(8 * (scenarios * 3 * n + len(fields) * scenarios * n))
-        values_host, values_view = arena.allocate((scenarios, 3, n))
-        out_host, out_view = arena.allocate((len(fields), scenarios, n))
-        values_host[:] = block
-        out_host[:] = -1.0
-        start, stop = 9, scenarios - 11
         select = None if fields == METRIC_NAMES else ("delay_50",)
-        index, status, body = run_batch_shard(
-            BatchShard(
-                **shard,
-                block=values_view,
-                start=start,
-                stop=stop,
-                select=select,
-                out=out_view,
-                out_fields=fields,
-            )
+        out = {name: np.full((scenarios, n), -1.0) for name in fields}
+        start, stop = 9, scenarios - 11
+        rows = block[start:stop]
+        table._evaluate_block(
+            compiled.topology,
+            rows[:, 0],
+            rows[:, 1],
+            rows[:, 2],
+            0.1,
+            select,
+            out={name: values[start:stop] for name, values in out.items()},
+            rows=tile_rows(compiled) // 2,
         )
-        assert (index, status, body) == (0, "ok", {"arena": True})
-        want = analyze_batch(
-            compiled, block, metrics=None if select is None else select
-        ).metrics
-        for row, name in enumerate(fields):
+        want = analyze_batch(compiled, block, metrics=select).metrics
+        for name in fields:
             np.testing.assert_array_equal(
-                bits(out_host[row, start:stop]),
+                bits(out[name][start:stop]),
                 bits(getattr(want, name)[start:stop]),
                 err_msg=name,
             )
-        # Rows outside the shard are left alone.
-        assert np.all(out_host[:, :start] == -1.0)
-        assert np.all(out_host[:, stop:] == -1.0)
+            assert np.all(out[name][:start] == -1.0)
+            assert np.all(out[name][stop:] == -1.0)
 
     def test_pooled_shards_match_in_process(self):
-        compiled, block, _ = self._setup(tiles=6)
+        compiled, block = self._setup(tiles=6)
         got = analyze_batch_sharded(compiled, block, shards=3, workers=2)
         assert_bitwise(got.metrics, analyze_batch(compiled, block).metrics)

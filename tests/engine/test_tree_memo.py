@@ -1,8 +1,7 @@
 """Per-tree memo of the structure key and value vectors.
 
 ``compile_tree`` memoizes each tree's structural key and R/L/C vectors
-on the tree, and each topology's key and pickled payload on the
-topology. ``compile_tree(tree, cache=False)`` reads nothing memoized,
+on the tree, and each topology's key on the topology. ``compile_tree(tree, cache=False)`` reads nothing memoized,
 so it is the oracle every memoized result is compared against, bit for
 bit.
 """
@@ -23,12 +22,7 @@ from repro.engine import (
     topology_fingerprint,
     topology_key,
 )
-from repro.engine.dispatch import (
-    encode_topology,
-    get_pool,
-    release_arenas,
-    shutdown_pool,
-)
+from repro.engine.dispatch import get_pool, shutdown_pool
 from repro.engine.kernels import METRIC_NAMES
 from repro.engine.sharded import analyze_many
 from repro.engine.table import TimingTable
@@ -191,11 +185,10 @@ class TestPickling:
         topology = compile_tree(fig5).topology
         bare = len(pickle.dumps(topology, protocol=pickle.HIGHEST_PROTOCOL))
         key = topology_key(topology)
-        payload = encode_topology(topology)
-        assert encode_topology(topology) is payload
+        payload = pickle.dumps(topology, protocol=pickle.HIGHEST_PROTOCOL)
         assert len(payload) == bare
         restored = pickle.loads(payload)
-        assert restored._key is None and restored._payload is None
+        assert restored._key is None
         assert topology_key(restored) == key
 
     def test_lazy_caches_stay_home(self):
@@ -205,8 +198,9 @@ class TestPickling:
             topology.root_path(slot)
         topology.preorder_layout()
         topology.parent_list()
-        assert len(encode_topology(topology)) == bare
-        restored = pickle.loads(encode_topology(topology))
+        payload = pickle.dumps(topology, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(payload) == bare
+        restored = pickle.loads(payload)
         assert restored.preorder_layout()[0].tobytes() == (
             topology.preorder_layout()[0].tobytes()
         )
@@ -234,15 +228,14 @@ class TestPooledAnalyzeMany:
     def no_leaked_resources(self):
         yield
         shutdown_pool()
-        release_arenas()
 
     def test_matches_cold_compile_bitwise(self):
         rng = np.random.default_rng(9)
         trees = [random_tree(int(n), rng) for n in rng.integers(20, 400, 6)]
-        trees.append(trees[0])  # a repeated tree shares one payload
-        cold = analyze_many(trees, workers=1, cache=False)
+        trees.append(trees[0])  # a repeated tree shares one topology
+        cold = analyze_many(trees, cache=False)
         for _ in range(2):  # the second call runs on a warm memo
-            pooled = analyze_many(trees, workers=2)
+            pooled = analyze_many(trees)
             for got, want in zip(pooled, cold):
                 assert isinstance(got, TimingTable)
                 for name in METRIC_NAMES:

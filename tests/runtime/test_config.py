@@ -1,5 +1,7 @@
 """RuntimeConfig validation."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -17,16 +19,26 @@ class TestValidation:
         [
             {"backend": "turbo"},
             {"workers": -1},
-            {"shards": 0},
+            {"breaker_threshold": 0},
             {"flush_threshold": 1.5},
             {"flush_threshold": -0.1},
             {"point_scalar_max": -1},
-            {"sharded_min_cells": -1},
+            {"breaker_cooldown": -1.0},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             RuntimeConfig(**kwargs)
+
+    def test_six_fields(self):
+        assert [f.name for f in fields(RuntimeConfig)] == [
+            "backend",
+            "workers",
+            "flush_threshold",
+            "point_scalar_max",
+            "breaker_threshold",
+            "breaker_cooldown",
+        ]
 
     def test_parallel_needs_more_than_one_worker(self):
         assert not RuntimeConfig(workers=1).parallel

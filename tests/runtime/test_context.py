@@ -1,9 +1,11 @@
 """ExecutionContext: sessions, stats, lifecycle, default resolution."""
 
+import numpy as np
 import pytest
 
 from repro.engine import compile_tree
 from repro.engine.dispatch import pool_size
+from repro.engine.table import _tile_rows
 from repro.errors import ConfigurationError, ReproError
 from repro.runtime import (
     ExecutionContext,
@@ -123,11 +125,17 @@ class TestLifecycle:
                 raise ConfigurationError("boom")
         assert context.closed
 
-    def test_close_shuts_worker_pool(self, fig5, line3):
+    def test_close_shuts_worker_pool(self, fig5):
+        compiled = compile_tree(fig5)
+        nominal = np.stack(
+            [compiled.resistance, compiled.inductance, compiled.capacitance]
+        )
+        block = nominal[None].repeat(2 * _tile_rows(compiled.topology), axis=0)
         with ExecutionContext(RuntimeConfig(workers=2)) as context:
-            results = context.analyze_many([fig5, line3])
-            assert all(not isinstance(r, Exception) for r in results)
-            assert pool_size() > 0
+            result = context.batch(compiled, block)
+            assert result.scenarios == len(block)
+            assert context.stats()["dispatch"] == {"sharded": 1}
+            assert pool_size() == 2
         assert pool_size() == 0
 
 
@@ -161,8 +169,6 @@ class TestDefaultContext:
     def test_batch_workload_metadata(self, fig5):
         context = ExecutionContext()
         compiled = compile_tree(fig5)
-        import numpy as np
-
         nominal = np.stack(
             [compiled.resistance, compiled.inductance, compiled.capacitance]
         )

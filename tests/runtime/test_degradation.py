@@ -10,8 +10,12 @@ never degrade below the compiled kernels. Context-level behaviour
 
 import warnings
 
+import numpy as np
 import pytest
 
+from repro.circuit import random_tree
+from repro.engine import compile_tree
+from repro.engine.table import _tile_rows
 from repro.runtime import (
     ExecutionContext,
     RuntimeConfig,
@@ -32,7 +36,19 @@ PARALLEL = RuntimeConfig(workers=4)
 
 
 def big_batch():
-    return Workload(kind="batch", tree_size=100, scenarios=1000)
+    # A flat 100-node tree tiles at 655 rows; 1310 rows span two tiles.
+    return Workload(kind="batch", tree_size=100, scenarios=1310)
+
+
+def threaded_block():
+    """A compiled tree plus a value block two serial tiles tall."""
+    compiled = compile_tree(random_tree(400, np.random.default_rng(2)))
+    nominal = np.stack(
+        [compiled.resistance, compiled.inductance, compiled.capacitance]
+    )
+    return compiled, nominal[None].repeat(
+        2 * _tile_rows(compiled.topology), axis=0
+    )
 
 
 class TestPlannerDegradation:
@@ -50,11 +66,17 @@ class TestPlannerDegradation:
         assert any("breaker open" in reason for reason in decision.reasons)
         assert "degraded from sharded" in str(decision)
 
-    def test_open_sharded_degrades_many_to_compiled(self):
-        workload = Workload(kind="many", tree_count=8)
+    def test_open_sharded_degrades_sweep_to_compiled(self):
+        workload = Workload(kind="sweep", tree_size=100, scenarios=1310)
         decision = plan(workload, PARALLEL, unavailable=("sharded",))
         assert decision.backend == "compiled"
         assert decision.degraded_from == "sharded"
+
+    def test_many_never_needs_the_sharded_breaker(self):
+        workload = Workload(kind="many", tree_count=8)
+        decision = plan(workload, PARALLEL, unavailable=("sharded",))
+        assert decision.backend == "compiled"
+        assert not decision.degraded
 
     def test_batch_never_degrades_below_compiled(self):
         # Even with both parallel backends tripped, batch needs the
@@ -91,37 +113,55 @@ class TestPlannerDegradation:
 
 
 class TestContextDegradation:
-    def test_tripped_breaker_degrades_and_counts(self, fig5):
+    def test_tripped_breaker_degrades_and_counts(self):
+        compiled, block = threaded_block()
         context = ExecutionContext(RuntimeConfig(workers=4))
         context.breakers.breaker("sharded").trip("test trip")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            results = context.analyze_many([fig5, fig5, fig5])
-        assert len(results) == 3
+            result = context.batch(compiled, block)
+        assert result.scenarios == len(block)
         stats = context.stats()
         assert stats["plans"]["degraded"] == 1
         assert stats["dispatch"] == {"compiled": 1}
         assert stats["breakers"]["sharded"]["state"] == "open"
 
-    def test_degradation_warns_once_per_route(self, fig5):
+    def test_degradation_warns_once_per_route(self):
+        compiled, block = threaded_block()
         context = ExecutionContext(RuntimeConfig(workers=4))
         context.breakers.breaker("sharded").trip("test trip")
         with pytest.warns(RuntimeWarning, match="repro.runtime degraded"):
-            context.analyze_many([fig5, fig5])
+            context.batch(compiled, block)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            context.analyze_many([fig5, fig5])  # silent the second time
+            context.batch(compiled, block)  # silent the second time
 
-    def test_closed_breaker_keeps_sharded_route(self, fig5):
+    def test_closed_breaker_keeps_sharded_route(self):
         context = ExecutionContext(RuntimeConfig(workers=4))
-        decision = context.plan(Workload(kind="many", tree_count=4))
+        decision = context.plan(big_batch())
         assert decision.backend == "sharded"
         assert not decision.degraded
 
-    def test_stats_snapshot_has_supervision_group(self):
-        context = ExecutionContext()
-        stats = context.stats()
-        assert "supervision" in stats
-        for key in ("timeouts", "retries", "rebuilds", "worker_deaths"):
-            assert key in stats["supervision"]
-        assert "generation" in stats["pool"]
+    def test_shard_failures_feed_the_breaker(self, monkeypatch):
+        from repro.errors import DispatchError
+        from repro.runtime import backends
+
+        real = backends.analyze_batch_sharded
+
+        def failing(*args, **kwargs):
+            return real(*args, fault_shards=(0,), **kwargs)
+
+        monkeypatch.setattr(backends, "analyze_batch_sharded", failing)
+        compiled, block = threaded_block()
+        context = ExecutionContext(
+            RuntimeConfig(workers=2, breaker_threshold=2)
+        )
+        for _ in range(2):
+            with pytest.raises(DispatchError):
+                context.batch(compiled, block)
+        assert context.breakers.breaker("sharded").state == "open"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = context.batch(compiled, block)
+        assert context.stats()["dispatch"]["compiled"] == 1
+        assert result.scenarios == len(block)

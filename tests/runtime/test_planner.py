@@ -1,7 +1,11 @@
 """Routing decisions: boundaries, forced overrides, provenance."""
 
+import numpy as np
 import pytest
 
+from repro.circuit import random_tree, single_line
+from repro.engine import compile_tree
+from repro.engine.table import _tile_rows, pass_levels
 from repro.errors import ConfigurationError
 from repro.runtime import (
     BACKEND_NAMES,
@@ -22,6 +26,20 @@ class TestWorkload:
         assert Workload(kind="batch", tree_size=30, scenarios=100).cells == 3000
         assert Workload(kind="batch").cells == 0
 
+    @pytest.mark.parametrize("chain", [False, True])
+    def test_tile_rows_follow_the_engine(self, chain):
+        tree = (
+            single_line(300, resistance=25.0, inductance=2e-9,
+                        capacitance=3e-13)
+            if chain
+            else random_tree(300, np.random.default_rng(1))
+        )
+        topology = compile_tree(tree).topology
+        workload = Workload(
+            "batch", tree_size=topology.size, levels=pass_levels(topology)
+        )
+        assert workload.tile_rows == _tile_rows(topology)
+
 
 class TestAutoRouting:
     """The decision table of the module docstring, edge by edge."""
@@ -41,30 +59,33 @@ class TestAutoRouting:
             # table: always one vectorized pass
             (Workload("table", tree_size=3), RuntimeConfig(), "compiled"),
             (Workload("table", tree_size=5000), RuntimeConfig(), "compiled"),
-            # batch: sharded only with workers > 1 AND enough cells
+            # batch: threaded only with workers > 1 AND two serial tiles
+            # (a flat 64-node tree tiles at 1024 rows)
             (
-                Workload("batch", tree_size=64, scenarios=64),
+                Workload("batch", tree_size=64, scenarios=2048),
                 RuntimeConfig(workers=4),
                 "sharded",
             ),
             (
-                Workload("batch", tree_size=64, scenarios=63),
+                Workload("batch", tree_size=64, scenarios=2047),
                 RuntimeConfig(workers=4),
                 "compiled",
             ),
             (
-                Workload("batch", tree_size=64, scenarios=64),
+                Workload("batch", tree_size=64, scenarios=2048),
                 RuntimeConfig(workers=1),
                 "compiled",
             ),
             (
-                Workload("batch", tree_size=64, scenarios=64),
+                Workload("batch", tree_size=64, scenarios=2048),
                 RuntimeConfig(),
                 "compiled",
             ),
+            # deep trees get taller tiles: 100 levels of 10 nodes tile at
+            # 4096 * 100 / 1000 = 410 rows
             (
-                Workload("batch", tree_size=10, scenarios=10),
-                RuntimeConfig(workers=2, sharded_min_cells=100),
+                Workload("batch", tree_size=1000, scenarios=820, levels=100),
+                RuntimeConfig(workers=2),
                 "sharded",
             ),
             # edit: delta updates are the whole point
@@ -74,18 +95,34 @@ class TestAutoRouting:
                 RuntimeConfig(workers=16),
                 "incremental",
             ),
-            # many: pool only with workers > 1 and at least two trees
+            # sweep: the batch rule, chunk by chunk
             (
-                Workload("many", tree_count=2),
+                Workload("sweep", tree_size=1000, scenarios=130),
                 RuntimeConfig(workers=2),
                 "sharded",
             ),
+            # many: always serial, whatever the worker budget
             (
-                Workload("many", tree_count=1),
-                RuntimeConfig(workers=8),
+                Workload("many", tree_count=2),
+                RuntimeConfig(workers=2),
                 "compiled",
             ),
             (Workload("many", tree_count=50), RuntimeConfig(), "compiled"),
+            (
+                Workload("many", tree_count=64),
+                RuntimeConfig(workers=8),
+                "compiled",
+            ),
+            (
+                Workload("batch", tree_size=1000, scenarios=819, levels=100),
+                RuntimeConfig(workers=2),
+                "compiled",
+            ),
+            (
+                Workload("sweep", tree_size=1000, scenarios=129),
+                RuntimeConfig(workers=2),
+                "compiled",
+            ),
         ],
     )
     def test_boundary(self, workload, config, expected):

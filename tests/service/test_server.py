@@ -205,7 +205,7 @@ class TestEndpoints:
         assert service["coalescing"]["requests"] == 2
         # The runtime's own stats ride along in the same snapshot.
         assert "dispatch" in stats
-        assert "calibration_stale" in stats
+        assert "breakers" in stats
 
 
 class TestAdmissionControl:
@@ -500,7 +500,7 @@ class TestDrain:
             context = bg.server.context
             assert context.closed is False
         # After the with-block the server drained through the
-        # context-manager path (pool shutdown + arena release).
+        # context-manager path (pool shutdown).
         assert context.closed is True
 
     def test_max_requests_self_stop(self, netlist):

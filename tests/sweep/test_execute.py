@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import fig5_tree
-from repro.engine import compile_tree
+from repro.engine import compile_tree, table
 from repro.engine.table import analyze_batch
 from repro.errors import ConfigurationError
 from repro.runtime import ExecutionContext, RuntimeConfig
@@ -87,8 +87,13 @@ class TestChunkBoundaries:
             assert columns[metric].tobytes() == reference.tobytes()
         assert stats["chunks"] == -(-S // chunk_size)
 
-    def test_sharded_chunks_match_serial(self, sweep, compiled, eager):
-        config = RuntimeConfig(workers=2, sharded_min_cells=1)
+    def test_sharded_chunks_match_serial(
+        self, sweep, compiled, eager, monkeypatch
+    ):
+        # Small tiles, so 32-row chunks span two of them and thread.
+        monkeypatch.setattr(table, "_TILE_CELLS", 64)
+        monkeypatch.setattr(table, "_LEVEL_CELLS", 16)
+        config = RuntimeConfig(workers=2)
         columns, stats = collect(sweep, compiled, 32, config=config)
         for metric in METRICS:
             reference = eager.column(metric, "n7")

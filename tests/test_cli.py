@@ -401,8 +401,8 @@ class TestServe:
         assert exit_code["value"] == 0
         assert "repro service drained" in stderr.getvalue()
 
-    def test_serve_with_calibration_and_workers(self, monkeypatch, tmp_path):
-        """--calibration/--workers shape the serving context's config."""
+    def test_serve_with_workers(self, monkeypatch):
+        """--workers sets the serving context's thread budget."""
         import io
         import json
         import re
@@ -411,20 +411,16 @@ class TestServe:
         import time
         import urllib.request
 
-        from repro.runtime import CrossoverCalibration, save_calibration
+        from repro.runtime import ExecutionContext
 
-        path = tmp_path / "cal.json"
-        save_calibration(
-            CrossoverCalibration(
-                workers=2,
-                serial_overhead=1e-4,
-                serial_per_cell=2e-7,
-                sharded_overhead=5e-4,
-                sharded_per_cell=1e-7,
-                breakeven_cells=4000,
-            ),
-            path=path,
-        )
+        configs = []
+        real_init = ExecutionContext.__init__
+
+        def recording_init(self, config=None, registry=None):
+            configs.append(config)
+            real_init(self, config, registry)
+
+        monkeypatch.setattr(ExecutionContext, "__init__", recording_init)
         stderr = io.StringIO()
         monkeypatch.setattr(sys, "stderr", stderr)
         exit_code = {}
@@ -433,7 +429,7 @@ class TestServe:
             exit_code["value"] = main(
                 [
                     "serve", "--port", "0", "--max-requests", "1",
-                    "--workers", "2", "--calibration", str(path),
+                    "--workers", "2",
                 ]
             )
 
@@ -452,8 +448,7 @@ class TestServe:
             f"http://127.0.0.1:{port}/stats", timeout=30
         ) as response:
             stats = json.loads(response.read())
-        # Matching --workers: the calibration installed cleanly.
-        assert stats["calibration_stale"] is False
+        assert configs[0].workers == 2
         assert stats["service"]["stats"] == 1
         # /stats bypasses admission and does not count toward
         # --max-requests; one admitted request triggers the self-stop.
